@@ -10,6 +10,7 @@ import argparse
 import logging
 import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,23 +21,25 @@ from .config import (
     build_settings,
     load_config,
     serialize_config,
+    set_key,
     validate_config,
 )
 from .controller import run_stream
 from .ingest import DataError, SplitSpec, prepare_dataset
 from .metrics import Endpoints, bayes_projection, multiseed_summary, trace_to_csv
+from .schema import format_value
 from .synth import DriftPoint, SyntheticStreamSpec, write_dataset
 
 logger = logging.getLogger(__name__)
 
 RUN_FILES = ("config.txt", "trace.csv", "endpoints.txt", "triggers.txt")
 
-
-def _add_config_key_flags(parser):
-    for key, (attr, _) in CONFIG_KEYS.items():
-        if key in ("run.strategies", "run.seeds", "run.out"):
-            continue  # covered by the required flags below
-        parser.add_argument(f"--{key}", dest=attr, default=None, metavar="VALUE")
+# the config keys every run names on its command line, by flag
+REQUIRED_RUN_FLAGS = {
+    "run.strategies": ("--strategy", "strategy kind, comma-separated for a matrix"),
+    "run.seeds": ("--seed", "seed, comma-separated for a sweep"),
+    "run.out": ("--out", "output directory"),
+}
 
 
 def build_parser():
@@ -48,14 +51,11 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="execute a strategy matrix over seeds")
     p_run.add_argument("--config", help="key-value config file (flags override it)")
-    p_run.add_argument(
-        "--strategy",
-        required=True,
-        help="strategy kind, comma-separated for a matrix",
-    )
-    p_run.add_argument("--seed", required=True, help="seed, comma-separated for a sweep")
-    p_run.add_argument("--out", required=True, help="output directory")
-    _add_config_key_flags(p_run)
+    for key, (flag, text) in REQUIRED_RUN_FLAGS.items():
+        p_run.add_argument(flag, dest=key, metavar=flag[2:].upper(), required=True, help=text)
+    for key in CONFIG_KEYS:
+        if key not in REQUIRED_RUN_FLAGS:
+            p_run.add_argument(f"--{key}", dest=key, metavar="VALUE")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic alert stream")
     p_synth.add_argument("--out", required=True, help="CSV output path")
@@ -92,18 +92,6 @@ def build_parser():
     return parser
 
 
-def _apply_flag_overrides(cfg, args):
-    for key, (attr, parser_fn) in CONFIG_KEYS.items():
-        raw = getattr(args, attr, None)
-        if raw is None:
-            continue
-        try:
-            setattr(cfg, attr, parser_fn(raw))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for --{key}: {exc}") from exc
-    return cfg
-
-
 def _load_trigger_schedule(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -115,41 +103,43 @@ def _load_trigger_schedule(path):
 
 
 def _write_run_dir(run_dir, cfg, strategy, seed, result):
-    run_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = replace(cfg, strategies=[strategy], seeds=[seed], out_dir=str(run_dir))
-    (run_dir / "config.txt").write_text(serialize_config(snapshot), encoding="utf-8")
-    (run_dir / "trace.csv").write_text(trace_to_csv(result.trace), encoding="utf-8")
-    (run_dir / "endpoints.txt").write_text(result.endpoints.to_text(), encoding="utf-8")
-    (run_dir / "triggers.txt").write_text(
-        "".join(f"{t}\n" for t in result.trigger_events), encoding="utf-8"
-    )
+    """Write the four run files into a temporary sibling, then move it into place.
+
+    A failure leaves any earlier run in ``run_dir`` untouched, and a
+    rerun replaces the whole directory, so no stale file survives.
+    """
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp_dir = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}.", dir=run_dir.parent))
+    try:
+        snapshot = replace(cfg, strategies=[strategy], seeds=[seed], out_dir=str(run_dir))
+        (tmp_dir / "config.txt").write_text(serialize_config(snapshot), encoding="utf-8")
+        (tmp_dir / "trace.csv").write_text(trace_to_csv(result.trace), encoding="utf-8")
+        (tmp_dir / "endpoints.txt").write_text(result.endpoints.to_text(), encoding="utf-8")
+        (tmp_dir / "triggers.txt").write_text(
+            "".join(f"{t}\n" for t in result.trigger_events), encoding="utf-8"
+        )
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        tmp_dir.rename(run_dir)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
 
 
 def _summary_text(endpoint_maps):
     summary = multiseed_summary(endpoint_maps)
     lines = [f"seeds={len(endpoint_maps)}"]
     for key, (median, iqr) in summary.items():
-        med_text = "" if median is None else repr(median)
-        iqr_text = "" if iqr is None else repr(iqr)
-        lines.append(f"{key}.median={med_text}")
-        lines.append(f"{key}.iqr={iqr_text}")
+        lines.append(f"{key}.median={format_value(median)}")
+        lines.append(f"{key}.iqr={format_value(iqr)}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_run(args):
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
-    cfg = _apply_flag_overrides(cfg, args)
-    cfg.strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    try:
-        cfg.seeds = [int(s) for s in args.seed.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --seed value: {exc}") from exc
-    cfg.out_dir = args.out
+    cfg = load_config(args.config) if args.config else RunConfig()
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            cfg = set_key(cfg, key, getattr(args, key))
     validate_config(cfg)
-    if not cfg.dataset_csv or not cfg.dataset_manifest:
-        raise ConfigError("dataset.csv and dataset.manifest are required for run")
 
     schedule = None
     if "matched-replay" in cfg.strategies:
@@ -173,16 +163,8 @@ def cmd_run(args):
         endpoint_maps = []
         for seed in cfg.seeds:
             settings = build_settings(cfg, strategy, seed, trigger_schedule=schedule)
-            run_dir = out_root / strategy / str(seed)
-            try:
-                result = run_stream(
-                    data.X_train, data.y_train, data.X_stream, data.y_stream, settings
-                )
-                _write_run_dir(run_dir, cfg, strategy, seed, result)
-            except Exception:
-                if run_dir.exists():
-                    shutil.rmtree(run_dir)  # no partial run directories
-                raise
+            result = run_stream(data.X_train, data.y_train, data.X_stream, data.y_stream, settings)
+            _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
             endpoint_maps.append(result.endpoints.as_map())
             print(
                 f"{strategy} seed={seed}: fp/1M-benign="

@@ -4,147 +4,97 @@ The format is line-oriented ``section.key=value`` text: minimal parsing
 surface, diff-friendly, and exactly round-trippable (parse -> serialize ->
 parse yields the same configuration). Every streaming default is populated
 when a key is omitted.
+
+Types, defaults and value domains live on the dataclasses a run uses
+(``RunSettings``, ``StrategyConfig``, ``TrainConfig``, ``Objective``);
+``CONFIG_KEYS`` maps each public key to the field that holds it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 
-from . import gbt
-from .controller import STRATEGY_KINDS, RunSettings, StrategyConfig
-from .objectives import OBJECTIVE_KINDS, Objective
+from .controller import RunSettings
+from .gbt import TrainConfig
+from .objectives import Objective
+from .schema import check_fields, format_value, interval, parse_value
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_int_list(text):
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_str_list(text):
-    return [v.strip() for v in text.split(",") if v.strip()]
-
-
-def _fmt_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass
 class RunConfig:
-    """One experiment: dataset, strategy matrix, seeds, and module knobs."""
+    """One experiment: dataset, strategy matrix, seeds, output, and run settings."""
 
     dataset_csv: str | None = None
     dataset_manifest: str | None = None
     train_positive_target: int = 100
-    strategies: list = field(default_factory=lambda: ["adwin-hybrid"])
-    seeds: list = field(default_factory=lambda: [42])
+    strategies: list[str] = field(default_factory=lambda: ["adwin-hybrid"])
+    seeds: list[int] = field(default_factory=lambda: [42])
     out_dir: str | None = None
-
-    objective_kind: str = "focal"
-    objective_alpha: float = 0.25
-    objective_gamma: float = 2.0
-    objective_pos_weight: float | None = None
-
-    train_initial_rounds: int = 100
-    train_rounds_per_update: int = 10
-    train_learning_rate: float = 0.10
-    train_max_depth: int = 6
-    train_max_trees: int = 500
-    train_bins: int = 256
-    train_min_child_weight: float = 1.0
-    train_subsample: float = 0.90
-    train_colsample: float = 0.90
-    train_l2_reg: float = 1.00
-
-    threshold_policy: str = "max-f1"
-    threshold_tail_fraction: float = 0.20
-    threshold_grid_points: int = 101
-    threshold_min_recall: float = 0.95
-
-    adwin_delta: float = 0.002
-
-    acquisition_policy: str = "hybrid"
-    acquisition_nominal_budget_fraction: float = 0.01
-
-    controller_periodic_interval: int = 10_000
-    controller_cooldown_events: int = 2_000
-    controller_b_min: int = 32
-    controller_buffer_capacity: int = 5_000
-    controller_batch_size: int = 1_000
-    periodic_max_updates: int | None = None
     trigger_schedule_path: str | None = None
+    settings: RunSettings = field(default_factory=RunSettings)
 
-    replay_enabled: bool = False
-    replay_capacity: int = 512
-    replay_ratio: float = 0.5
-
-    metrics_rolling_window: int = 10_000
-    metrics_burst_gap: int = 10_000
-    metrics_burst_delay_mode: str = "positives"
+    def __post_init__(self):
+        check_fields(self, train_positive_target=interval("[1, inf)"))
 
 
-# key -> (attribute, parser)
+# public key -> dotted field path from RunConfig, in config.txt order
 CONFIG_KEYS = {
-    "dataset.csv": ("dataset_csv", str),
-    "dataset.manifest": ("dataset_manifest", str),
-    "dataset.train_positive_target": ("train_positive_target", int),
-    "run.strategies": ("strategies", _parse_str_list),
-    "run.seeds": ("seeds", _parse_int_list),
-    "run.out": ("out_dir", str),
-    "objective.kind": ("objective_kind", str),
-    "objective.alpha": ("objective_alpha", float),
-    "objective.gamma": ("objective_gamma", float),
-    "objective.pos_weight": ("objective_pos_weight", float),
-    "train.initial_rounds": ("train_initial_rounds", int),
-    "train.rounds_per_update": ("train_rounds_per_update", int),
-    "train.learning_rate": ("train_learning_rate", float),
-    "train.max_depth": ("train_max_depth", int),
-    "train.max_trees": ("train_max_trees", int),
-    "train.bins": ("train_bins", int),
-    "train.min_child_weight": ("train_min_child_weight", float),
-    "train.subsample": ("train_subsample", float),
-    "train.colsample": ("train_colsample", float),
-    "train.l2_reg": ("train_l2_reg", float),
-    "threshold.policy": ("threshold_policy", str),
-    "threshold.tail_fraction": ("threshold_tail_fraction", float),
-    "threshold.grid_points": ("threshold_grid_points", int),
-    "threshold.min_recall": ("threshold_min_recall", float),
-    "adwin.delta": ("adwin_delta", float),
-    "acquisition.policy": ("acquisition_policy", str),
-    "acquisition.nominal_budget_fraction": ("acquisition_nominal_budget_fraction", float),
-    "controller.periodic_interval": ("controller_periodic_interval", int),
-    "controller.cooldown_events": ("controller_cooldown_events", int),
-    "controller.b_min": ("controller_b_min", int),
-    "controller.buffer_capacity": ("controller_buffer_capacity", int),
-    "controller.batch_size": ("controller_batch_size", int),
-    "periodic.max_updates": ("periodic_max_updates", int),
-    "strategy.trigger_schedule": ("trigger_schedule_path", str),
-    "replay.enabled": ("replay_enabled", _parse_bool),
-    "replay.capacity": ("replay_capacity", int),
-    "replay.ratio": ("replay_ratio", float),
-    "metrics.rolling_window": ("metrics_rolling_window", int),
-    "metrics.burst_gap": ("metrics_burst_gap", int),
-    "metrics.burst_delay_mode": ("metrics_burst_delay_mode", str),
+    "dataset.csv": "dataset_csv",
+    "dataset.manifest": "dataset_manifest",
+    "dataset.train_positive_target": "train_positive_target",
+    "run.strategies": "strategies",
+    "run.seeds": "seeds",
+    "run.out": "out_dir",
+    **{f"objective.{f.name}": f"settings.objective.{f.name}" for f in fields(Objective)},
+    **{f"train.{f.name}": f"settings.train.{f.name}" for f in fields(TrainConfig)},
+    "threshold.policy": "settings.threshold_policy",
+    "threshold.tail_fraction": "settings.tail_fraction",
+    "threshold.grid_points": "settings.grid_points",
+    "threshold.min_recall": "settings.min_recall",
+    "adwin.delta": "settings.adwin_delta",
+    "acquisition.policy": "settings.acquisition_policy",
+    "acquisition.nominal_budget_fraction": "settings.nominal_budget_fraction",
+    "controller.periodic_interval": "settings.strategy.periodic_interval",
+    "controller.cooldown_events": "settings.strategy.cooldown_events",
+    "controller.b_min": "settings.strategy.b_min",
+    "controller.buffer_capacity": "settings.strategy.buffer_capacity",
+    "controller.batch_size": "settings.strategy.batch_size",
+    "periodic.max_updates": "settings.strategy.periodic_max_updates",
+    "strategy.trigger_schedule": "trigger_schedule_path",
+    "replay.enabled": "settings.strategy.replay_enabled",
+    "replay.capacity": "settings.strategy.replay_capacity",
+    "replay.ratio": "settings.strategy.replay_ratio",
+    "metrics.rolling_window": "settings.rolling_window",
+    "metrics.burst_gap": "settings.burst_gap",
+    "metrics.burst_delay_mode": "settings.burst_delay_mode",
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in CONFIG_KEYS.items()}
+
+def _replace_path(obj, path, text):
+    """Copy of ``obj`` with the field at ``path`` parsed from ``text``.
+
+    Each dataclass along the path is rebuilt, so its ``__post_init__``
+    checks the new value.
+    """
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _replace_path(getattr(obj, name), rest, text)
+    else:
+        value = parse_value(text, next(f.type for f in fields(obj) if f.name == name))
+    return replace(obj, **{name: value})
+
+
+def set_key(cfg, key, text):
+    """Copy of ``cfg`` with ``key`` set from its text form."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return _replace_path(cfg, CONFIG_KEYS[key], text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
 def parse_config_text(text, base=None):
@@ -156,18 +106,10 @@ def parse_config_text(text, base=None):
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {line_num}: expected key=value, got {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {line_num}: unknown config key {key!r}")
-        attr, parser = CONFIG_KEYS[key]
-        if value == "":
-            setattr(cfg, attr, [] if parser in (_parse_str_list, _parse_int_list) else None)
-            continue
         try:
-            setattr(cfg, attr, parser(value))
-        except ValueError as exc:
-            raise ConfigError(f"line {line_num}: bad value for {key}: {exc}") from exc
+            cfg = set_key(cfg, key.strip(), value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_num}: {exc}") from exc
     return cfg
 
 
@@ -180,73 +122,32 @@ def load_config(path, base=None):
 
 
 def serialize_config(cfg):
-    lines = []
-    for key, (attr, _) in CONFIG_KEYS.items():
-        lines.append(f"{key}={_fmt_value(getattr(cfg, attr))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key}={format_value(reduce(getattr, path.split('.'), cfg))}\n"
+        for key, path in CONFIG_KEYS.items()
+    )
 
 
 def validate_config(cfg):
-    for strategy in cfg.strategies:
-        if strategy not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy: {strategy!r}")
-    if cfg.objective_kind not in OBJECTIVE_KINDS:
-        raise ConfigError(f"unknown objective kind: {cfg.objective_kind!r}")
-    if cfg.threshold_policy not in ("max-f1", "recall-constrained"):
-        raise ConfigError(f"unknown threshold policy: {cfg.threshold_policy!r}")
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
+    """Checks across fields, and every (strategy, seed) cell's settings."""
+    if not (cfg.dataset_csv and cfg.dataset_manifest and cfg.out_dir):
+        raise ConfigError("dataset.csv, dataset.manifest and run.out are required for run")
+    if not cfg.strategies or not cfg.seeds:
+        raise ConfigError("at least one strategy and one seed are required")
+    if len(set(cfg.strategies)) < len(cfg.strategies) or len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError("run.strategies and run.seeds must not repeat a value")
     if "matched-replay" in cfg.strategies and not cfg.trigger_schedule_path:
         raise ConfigError("matched-replay requires strategy.trigger_schedule")
+    for strategy in cfg.strategies:
+        for seed in cfg.seeds:
+            try:
+                build_settings(cfg, strategy, seed)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     return cfg
 
 
 def build_settings(cfg, strategy_kind, seed, trigger_schedule=None):
     """RunSettings for one (strategy, seed) cell of the matrix."""
-    strategy = StrategyConfig(
-        kind=strategy_kind,
-        periodic_interval=cfg.controller_periodic_interval,
-        cooldown_events=cfg.controller_cooldown_events,
-        b_min=cfg.controller_b_min,
-        buffer_capacity=cfg.controller_buffer_capacity,
-        batch_size=cfg.controller_batch_size,
-        replay_enabled=cfg.replay_enabled,
-        replay_capacity=cfg.replay_capacity,
-        replay_ratio=cfg.replay_ratio,
-        trigger_schedule=trigger_schedule,
-        periodic_max_updates=cfg.periodic_max_updates,
-    )
-    objective = Objective(
-        kind=cfg.objective_kind,
-        alpha=cfg.objective_alpha,
-        gamma=cfg.objective_gamma,
-        pos_weight=cfg.objective_pos_weight,
-    )
-    train = gbt.TrainConfig(
-        initial_rounds=cfg.train_initial_rounds,
-        rounds_per_update=cfg.train_rounds_per_update,
-        learning_rate=cfg.train_learning_rate,
-        max_depth=cfg.train_max_depth,
-        max_trees=cfg.train_max_trees,
-        bins=cfg.train_bins,
-        min_child_weight=cfg.train_min_child_weight,
-        subsample=cfg.train_subsample,
-        colsample=cfg.train_colsample,
-        l2_reg=cfg.train_l2_reg,
-    )
-    return RunSettings(
-        strategy=strategy,
-        objective=objective,
-        train=train,
-        threshold_policy=cfg.threshold_policy,
-        tail_fraction=cfg.threshold_tail_fraction,
-        grid_points=cfg.threshold_grid_points,
-        min_recall=cfg.threshold_min_recall,
-        adwin_delta=cfg.adwin_delta,
-        acquisition_policy=cfg.acquisition_policy,
-        nominal_budget_fraction=cfg.acquisition_nominal_budget_fraction,
-        rolling_window=cfg.metrics_rolling_window,
-        burst_gap=cfg.metrics_burst_gap,
-        burst_delay_mode=cfg.metrics_burst_delay_mode,
-        seed=seed,
-    )
+    strategy = replace(cfg.settings.strategy, kind=strategy_kind, trigger_schedule=trigger_schedule)
+    return replace(cfg.settings, strategy=strategy, seed=seed)

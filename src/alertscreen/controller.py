@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gbt
-from .acquisition import ReplayBuffer, mix_with_replay, select_query_batch
+from .acquisition import POLICIES, ReplayBuffer, mix_with_replay, select_query_batch
 from .drift import AdwinDetector
 from .metrics import (
+    DELAY_MODES,
     Endpoints,
     RollingWindow,
     TraceRow,
@@ -34,7 +35,8 @@ from .metrics import (
     realized_query_rate,
 )
 from .objectives import Objective, resolve_pos_weight
-from .threshold import select_threshold
+from .schema import check_fields, interval, one_of
+from .threshold import THRESHOLD_POLICIES, select_threshold
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +65,18 @@ class StrategyConfig:
     periodic_max_updates: int | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind: {self.kind!r}")
+        check_fields(
+            self,
+            kind=one_of(STRATEGY_KINDS),
+            periodic_interval=interval("[1, inf)"),
+            cooldown_events=interval("[0, inf)"),
+            b_min=interval("[1, inf)"),
+            buffer_capacity=interval("[1, inf)"),
+            batch_size=interval("[1, inf)"),
+            replay_capacity=interval("[0, inf)"),
+            replay_ratio=interval("[0, 1]"),
+            periodic_max_updates=interval("[0, inf)"),
+        )
 
 
 @dataclass
@@ -85,6 +97,22 @@ class RunSettings:
     burst_gap: int = 10_000
     burst_delay_mode: str = "positives"
     seed: int = 42
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            threshold_policy=one_of(THRESHOLD_POLICIES),
+            tail_fraction=interval("(0, 1]"),
+            grid_points=interval("[2, inf)"),
+            min_recall=interval("[0, 1]"),
+            adwin_delta=interval("(0, 1)"),
+            acquisition_policy=one_of(POLICIES),
+            nominal_budget_fraction=interval("[0, 1]"),
+            rolling_window=interval("[1, inf)"),
+            burst_gap=interval("[0, inf)"),
+            burst_delay_mode=one_of(DELAY_MODES),
+            seed=interval("[0, inf)"),
+        )
 
 
 @dataclass

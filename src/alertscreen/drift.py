@@ -34,9 +34,6 @@ class AdwinDetector:
     def mean(self):
         return self.total_sum / self.total_count if self.total_count else 0.0
 
-    def n_buckets(self):
-        return sum(len(r) for r in self.rows)
-
     def bucket_counts(self):
         """Bucket sizes oldest-first (the window's temporal resolution)."""
         out = []
@@ -116,8 +113,3 @@ class AdwinDetector:
                     return True
         return False
 
-
-def hoeffding_cut_threshold(n0, n1, n, delta):
-    """The bound used by the detector, exposed for reference checks."""
-    m = 1.0 / (1.0 / n0 + 1.0 / n1)
-    return math.sqrt(1.0 / (2.0 * m) * math.log(4.0 * n / delta))

@@ -8,13 +8,12 @@ every later update so update cost stays bounded and deterministic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .objectives import HESS_FLOOR, PROB_EPS, grad_hess, resolve_pos_weight
-
-DUMP_HEADER = "alertscreen-gbt v1"
+from .schema import check_fields, interval
 
 
 @dataclass
@@ -29,6 +28,21 @@ class TrainConfig:
     subsample: float = 0.90
     colsample: float = 0.90
     l2_reg: float = 1.00
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            initial_rounds=interval("[1, inf)"),
+            rounds_per_update=interval("[1, inf)"),
+            learning_rate=interval("(0, inf)"),
+            max_depth=interval("[0, inf)"),
+            max_trees=interval("[1, inf)"),
+            bins=interval("[2, inf)"),
+            min_child_weight=interval("[0, inf)"),
+            subsample=interval("(0, 1]"),
+            colsample=interval("(0, 1]"),
+            l2_reg=interval("[0, inf)"),
+        )
 
 
 class Tree:
@@ -47,10 +61,6 @@ class Tree:
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
 
-    @property
-    def n_nodes(self):
-        return self.feature.size
-
     def apply(self, X):
         """Leaf value per row of X."""
         node = np.zeros(X.shape[0], dtype=np.int32)
@@ -63,9 +73,6 @@ class Tree:
             pending[idx] = self.feature[node[idx]] >= 0
         return self.value[node]
 
-    def root_feature(self):
-        return int(self.feature[0])
-
 
 @dataclass
 class BoostedEnsemble:
@@ -73,7 +80,7 @@ class BoostedEnsemble:
 
     Warm starts return a new ensemble sharing the tree prefix, so callers
     hot-swap the whole value. The generator drives subsample/colsample
-    draws and is carried across updates (it is not serialized).
+    draws and is carried across updates.
     """
 
     trees: list
@@ -109,105 +116,12 @@ class BoostedEnsemble:
         p = _sigmoid(self.predict_margin(X))
         return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
-    def dump(self):
-        """Versioned text serialization (trees, base score, bin edges)."""
-        lines = [DUMP_HEADER]
-        lines.append(f"n_features {self.n_features}")
-        lines.append(f"base_score {self.base_score!r}")
-        lines.append(f"learning_rate {self.learning_rate!r}")
-        lines.append(f"max_depth {self.max_depth}")
-        lines.append(f"max_trees {self.max_trees}")
-        for f, edges in enumerate(self.bin_edges):
-            lines.append("edges %d %s" % (f, " ".join(repr(float(e)) for e in edges)))
-        lines.append(f"n_trees {self.n_trees}")
-        for t, tree in enumerate(self.trees):
-            lines.append(f"tree {t} {tree.n_nodes}")
-            for i in range(tree.n_nodes):
-                if tree.feature[i] >= 0:
-                    lines.append(
-                        "%d split %d %r %d %d"
-                        % (i, tree.feature[i], float(tree.threshold[i]), tree.left[i], tree.right[i])
-                    )
-                else:
-                    lines.append("%d leaf %r" % (i, float(tree.value[i])))
-        return "\n".join(lines) + "\n"
-
-    def dump_tree(self, index):
-        """Text dump of a single tree (prefix-stability checks)."""
-        tree = self.trees[index]
-        lines = []
-        for i in range(tree.n_nodes):
-            if tree.feature[i] >= 0:
-                lines.append(
-                    "%d split %d %r %d %d"
-                    % (i, tree.feature[i], float(tree.threshold[i]), tree.left[i], tree.right[i])
-                )
-            else:
-                lines.append("%d leaf %r" % (i, float(tree.value[i])))
-        return "\n".join(lines)
-
-    @classmethod
-    def load(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != DUMP_HEADER:
-            raise ValueError("unrecognized model dump header")
-        fields = {}
-        edges = {}
-        pos = 1
-        while pos < len(lines) and not lines[pos].startswith("n_trees "):
-            key, _, rest = lines[pos].partition(" ")
-            if key == "edges":
-                fidx, _, vals = rest.partition(" ")
-                edges[int(fidx)] = np.array(
-                    [float(v) for v in vals.split()] if vals else [], dtype=np.float64
-                )
-            else:
-                fields[key] = rest
-            pos += 1
-        n_features = int(fields["n_features"])
-        n_trees = int(lines[pos].split()[1])
-        pos += 1
-        trees = []
-        for _ in range(n_trees):
-            n_nodes = int(lines[pos].split()[2])
-            pos += 1
-            feature = np.full(n_nodes, -1, dtype=np.int32)
-            threshold = np.zeros(n_nodes)
-            left = np.full(n_nodes, -1, dtype=np.int32)
-            right = np.full(n_nodes, -1, dtype=np.int32)
-            value = np.zeros(n_nodes)
-            for _ in range(n_nodes):
-                parts = lines[pos].split()
-                pos += 1
-                i = int(parts[0])
-                if parts[1] == "split":
-                    feature[i] = int(parts[2])
-                    threshold[i] = float(parts[3])
-                    left[i] = int(parts[4])
-                    right[i] = int(parts[5])
-                else:
-                    value[i] = float(parts[2])
-            trees.append(Tree(feature, threshold, left, right, value))
-        return cls(
-            trees=trees,
-            base_score=float(fields["base_score"]),
-            learning_rate=float(fields["learning_rate"]),
-            max_depth=int(fields["max_depth"]),
-            max_trees=int(fields["max_trees"]),
-            bin_edges=[edges[f] for f in range(n_features)],
-            n_features=n_features,
-        )
-
 
 @dataclass
 class WarmStartResult:
     ensemble: BoostedEnsemble
     appended: int
     cap_reached: bool
-
-    @property
-    def status(self):
-        return "cap-reached" if self.cap_reached else "ok"
 
 
 def _sigmoid(z):
@@ -399,15 +313,6 @@ def warm_start_update(ensemble, X, y, objective, config):
     if room <= 0:
         return WarmStartResult(ensemble, 0, True)
     n_new = min(config.rounds_per_update, room)
-    updated = BoostedEnsemble(
-        trees=list(ensemble.trees),
-        base_score=ensemble.base_score,
-        learning_rate=ensemble.learning_rate,
-        max_depth=ensemble.max_depth,
-        max_trees=ensemble.max_trees,
-        bin_edges=ensemble.bin_edges,
-        n_features=ensemble.n_features,
-        rng=ensemble.rng,
-    )
+    updated = replace(ensemble, trees=list(ensemble.trees))
     _boost(updated, X, y, objective, config, n_new)
     return WarmStartResult(updated, n_new, updated.n_trees >= updated.max_trees)

@@ -9,10 +9,13 @@ split only.
 """
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
+
+from .schema import format_value, parse_value
 
 # Column names dropped outright (label/timestamp/split metadata and known
 # post-decision attributes), and case-insensitive substrings that disqualify
@@ -65,15 +68,14 @@ class EventRecord:
 class DatasetManifest:
     label_column: str
     timestamp_column: str
-    categorical: list
-    numeric: list
+    categorical: list[str] = field(default_factory=list)
+    numeric: list[str] = field(default_factory=list)
     derive_time_since: bool = True
 
 
 @dataclass
 class SplitSpec:
     train_positive_target: int = 100
-    mode: str = "chronological-prefix"
 
 
 def apply_leakage_filter(column_names):
@@ -132,36 +134,23 @@ def load_manifest(path):
                 if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition("=")
-                keys[key.strip()] = value.strip()
+                keys[key.strip()] = value
     except OSError as exc:
         raise DataError(f"cannot read manifest: {exc}") from exc
     for required in ("label_column", "timestamp_column"):
         if required not in keys:
             raise DataError(f"manifest missing key: {required}")
-
-    def _split(name):
-        raw = keys.get(name, "")
-        return [c.strip() for c in raw.split(",") if c.strip()]
-
-    return DatasetManifest(
-        label_column=keys["label_column"],
-        timestamp_column=keys["timestamp_column"],
-        categorical=_split("categorical"),
-        numeric=_split("numeric"),
-        derive_time_since=keys.get("derive_time_since", "true").lower() in ("true", "1", "yes"),
-    )
+    given = [f for f in fields(DatasetManifest) if f.name in keys]
+    try:
+        return DatasetManifest(**{f.name: parse_value(keys[f.name], f.type) for f in given})
+    except ValueError as exc:
+        raise DataError(f"bad manifest value: {exc}") from exc
 
 
 def save_manifest(manifest, path):
-    lines = [
-        f"label_column={manifest.label_column}",
-        f"timestamp_column={manifest.timestamp_column}",
-        "categorical=" + ",".join(manifest.categorical),
-        "numeric=" + ",".join(manifest.numeric),
-        f"derive_time_since={'true' if manifest.derive_time_since else 'false'}",
-    ]
+    lines = [f"{f.name}={format_value(getattr(manifest, f.name))}\n" for f in fields(manifest)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)
 
 
 def load_events(csv_path, manifest):
@@ -235,12 +224,14 @@ def _is_missing(value):
 
 
 def _parse_numeric(value):
+    """Float value of a cell; blank, non-numeric and non-finite cells are missing."""
     if _is_missing(value):
         return None
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         return None
+    return number if math.isfinite(number) else None
 
 
 class Preprocessor:
@@ -300,13 +291,6 @@ class Preprocessor:
         return len(self.numeric_columns) + sum(
             len(self.onehot_vocab[c]) for c in self.categorical_columns
         )
-
-    def feature_names(self):
-        names = []
-        for col in self.categorical_columns:
-            names.extend(f"{col}={v}" for v in self.onehot_vocab[col])
-        names.extend(self.numeric_columns)
-        return names
 
     def transform(self, events):
         if not self._fitted:
@@ -377,8 +361,6 @@ class PreparedData:
     X_stream: np.ndarray
     y_stream: np.ndarray
     preprocessor: Preprocessor
-    categorical_columns: list = field(default_factory=list)
-    numeric_columns: list = field(default_factory=list)
 
 
 def prepare_dataset(csv_path, manifest_path, split_spec):
@@ -397,6 +379,4 @@ def prepare_dataset(csv_path, manifest_path, split_spec):
         X_stream=pre.transform(stream_events),
         y_stream=np.array([e.label for e in stream_events], dtype=np.int64),
         preprocessor=pre,
-        categorical_columns=categorical,
-        numeric_columns=numeric,
     )

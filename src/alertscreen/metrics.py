@@ -13,6 +13,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .schema import format_value, parse_value
+
+DELAY_MODES = ("positives", "events")
+
 
 class RollingWindow:
     """Trailing (label, prediction) window with running confusion counters."""
@@ -26,9 +30,6 @@ class RollingWindow:
         self.fp = 0
         self.tn = 0
         self.fn = 0
-
-    def __len__(self):
-        return len(self._pairs)
 
     def push(self, label, pred):
         if len(self._pairs) == self.capacity:
@@ -106,7 +107,7 @@ def missed_positive_stats(labels, preds, burst_gap=10_000, delay_mode="positives
     preds = np.asarray(preds)
     if labels.shape != preds.shape:
         raise ValueError("labels and predictions must have equal length")
-    if delay_mode not in ("positives", "events"):
+    if delay_mode not in DELAY_MODES:
         raise ValueError(f"unknown delay mode: {delay_mode!r}")
     pos_idx = np.nonzero(labels == 1)[0]
     missed = (labels == 1) & (preds == 0)
@@ -210,20 +211,6 @@ def multiseed_summary(endpoint_maps):
 
 # --- trace and endpoint serialization ---------------------------------------
 
-TRACE_COLUMNS = (
-    "batch_end_index",
-    "rolling_f1",
-    "rolling_precision",
-    "rolling_recall",
-    "rolling_fpr",
-    "cum_fp",
-    "cum_missed_pos",
-    "cum_queries",
-    "cum_updates",
-    "trigger_fired",
-    "update_fired",
-)
-
 
 @dataclass
 class TraceRow:
@@ -240,18 +227,18 @@ class TraceRow:
     update_fired: int
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+
+
+def _decode(cls, raw):
+    """Instance of dataclass ``cls`` from its fields' text values."""
+    return cls(**{f.name: parse_value(raw[f.name], f.type) for f in fields(cls)})
 
 
 def trace_to_csv(rows):
     lines = [",".join(TRACE_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in TRACE_COLUMNS))
+        lines.append(",".join(format_value(getattr(row, col)) for col in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -259,26 +246,7 @@ def trace_from_csv(text):
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError("unrecognized trace header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        vals = dict(zip(TRACE_COLUMNS, parts))
-        rows.append(
-            TraceRow(
-                batch_end_index=int(vals["batch_end_index"]),
-                rolling_f1=float(vals["rolling_f1"]) if vals["rolling_f1"] else None,
-                rolling_precision=float(vals["rolling_precision"]) if vals["rolling_precision"] else None,
-                rolling_recall=float(vals["rolling_recall"]) if vals["rolling_recall"] else None,
-                rolling_fpr=float(vals["rolling_fpr"]) if vals["rolling_fpr"] else None,
-                cum_fp=int(vals["cum_fp"]),
-                cum_missed_pos=int(vals["cum_missed_pos"]),
-                cum_queries=int(vals["cum_queries"]),
-                cum_updates=int(vals["cum_updates"]),
-                trigger_fired=int(vals["trigger_fired"]),
-                update_fired=int(vals["update_fired"]),
-            )
-        )
-    return rows
+    return [_decode(TraceRow, dict(zip(TRACE_COLUMNS, line.split(",")))) for line in lines[1:]]
 
 
 @dataclass
@@ -305,42 +273,12 @@ class Endpoints:
     trees: int
 
     def to_text(self):
-        lines = []
-        for f in fields(self):
-            lines.append(f"{f.name}={_fmt(getattr(self, f.name))}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={format_value(getattr(self, f.name))}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text):
-        raw = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
-            raw[key] = value
-        kwargs = {}
-        for f in fields(cls):
-            value = raw[f.name]
-            if value == "":
-                kwargs[f.name] = None
-            elif f.name in (
-                "stream_events",
-                "benign_count",
-                "positive_count",
-                "cum_fp",
-                "cum_missed_pos",
-                "max_missed_streak",
-                "queries",
-                "updates",
-                "applied_pos",
-                "applied_neg",
-                "replayed_labels",
-                "trees",
-            ):
-                kwargs[f.name] = int(value)
-            else:
-                kwargs[f.name] = float(value)
-        return cls(**kwargs)
+        raw = dict(line.split("=", 1) for line in text.splitlines() if line.strip())
+        return _decode(cls, raw)
 
     def as_map(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}

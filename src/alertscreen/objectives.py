@@ -10,6 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .schema import check_fields, interval, one_of
+
 OBJECTIVE_KINDS = ("plain-logistic", "class-weighted", "focal")
 
 PROB_EPS = 1e-12
@@ -31,14 +33,13 @@ class Objective:
     pos_weight: float | None = None
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind: {self.kind!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.pos_weight is not None and self.pos_weight <= 0.0:
-            raise ValueError("pos_weight must be > 0")
+        check_fields(
+            self,
+            kind=one_of(OBJECTIVE_KINDS),
+            alpha=interval("(0, 1)"),
+            gamma=interval("[0, inf)"),
+            pos_weight=interval("(0, inf)"),
+        )
 
 
 def resolve_pos_weight(objective, labels):

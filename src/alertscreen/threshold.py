@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+THRESHOLD_POLICIES = ("max-f1", "recall-constrained")
+
 
 @dataclass
 class OperatingPoint:

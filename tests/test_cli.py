@@ -1,8 +1,10 @@
 import pytest
 
-from alertscreen.cli import main
-from alertscreen.config import RunConfig, parse_config_text, serialize_config
+from alertscreen import cli
+from alertscreen.cli import RUN_FILES, main
+from alertscreen.config import CONFIG_KEYS, RunConfig, parse_config_text, serialize_config
 from alertscreen.metrics import Endpoints
+from alertscreen.objectives import Objective
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +59,30 @@ def _run_args(dataset, out, strategy="frozen", seed="42", extra=()):
 
 def test_config_round_trip_identity():
     cfg = RunConfig(dataset_csv="a.csv", dataset_manifest="a.manifest", out_dir="out")
+    cfg.train_positive_target = 25
     cfg.seeds = [40, 41, 42]
     cfg.strategies = ["frozen", "adwin-hybrid"]
-    cfg.periodic_max_updates = None
+    cfg.trigger_schedule_path = "triggers.txt"
+    settings = cfg.settings
+    settings.objective = Objective(kind="class-weighted", pos_weight=3.5)
+    settings.train.subsample = 0.75
+    settings.tail_fraction = 0.3
+    settings.adwin_delta = 0.01
+    settings.acquisition_policy = "uncertainty"
+    settings.strategy.cooldown_events = 1_500
+    settings.strategy.periodic_max_updates = 4
+    settings.strategy.replay_enabled = True
+    settings.burst_delay_mode = "events"
     text = serialize_config(cfg)
     parsed = parse_config_text(text)
     assert parsed == cfg
     assert serialize_config(parsed) == text
+    assert "periodic.max_updates=4\n" in text and "replay.enabled=true\n" in text
+
+    settings.strategy.periodic_max_updates = None
+    text = serialize_config(cfg)
+    assert "periodic.max_updates=\n" in text
+    assert parse_config_text(text) == cfg
 
 
 def test_unknown_config_key_rejected():
@@ -153,6 +172,97 @@ def test_bad_config_file_is_a_config_error(dataset, tmp_path):
     cfg.write_text("nonsense.key=1\n")
     args = _run_args(dataset, tmp_path / "out") + ["--config", str(cfg)]
     assert main(args) == 1
+
+
+# one out-of-domain value for every key that has a domain
+BAD_VALUES = {
+    "dataset.train_positive_target": "0",
+    "run.strategies": "oracle",
+    "run.seeds": "-1",
+    "objective.kind": "bogus",
+    "objective.alpha": "2",
+    "objective.gamma": "-1",
+    "objective.pos_weight": "0",
+    "train.initial_rounds": "0",
+    "train.rounds_per_update": "0",
+    "train.learning_rate": "0",
+    "train.max_depth": "-1",
+    "train.max_trees": "0",
+    "train.bins": "1",
+    "train.min_child_weight": "-1",
+    "train.subsample": "0",
+    "train.colsample": "1.5",
+    "train.l2_reg": "-1",
+    "threshold.policy": "bogus",
+    "threshold.tail_fraction": "0",
+    "threshold.grid_points": "1",
+    "threshold.min_recall": "1.5",
+    "adwin.delta": "2",
+    "acquisition.policy": "bogus",
+    "acquisition.nominal_budget_fraction": "nan",
+    "controller.periodic_interval": "0",
+    "controller.cooldown_events": "-1",
+    "controller.b_min": "0",
+    "controller.buffer_capacity": "0",
+    "controller.batch_size": "0",
+    "periodic.max_updates": "-1",
+    "replay.enabled": "maybe",
+    "replay.capacity": "-1",
+    "replay.ratio": "2",
+    "metrics.rolling_window": "0",
+    "metrics.burst_gap": "-1",
+    "metrics.burst_delay_mode": "bogus",
+}
+PATH_KEYS = {"dataset.csv", "dataset.manifest", "run.out", "strategy.trigger_schedule"}
+
+
+def test_every_config_key_has_a_domain_case_or_is_a_path():
+    assert set(BAD_VALUES) | PATH_KEYS == set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", list(BAD_VALUES))
+def test_out_of_domain_value_is_a_config_error(dataset, tmp_path, capsys, key):
+    flag = {"run.strategies": "--strategy", "run.seeds": "--seed"}.get(key, f"--{key}")
+    out = tmp_path / "out"
+    args = _run_args(
+        dataset,
+        out,
+        strategy="adwin-hybrid,matched-replay",
+        extra=["--strategy.trigger_schedule", str(tmp_path / "triggers.txt"), flag, BAD_VALUES[key]],
+    )
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy,seed", [("frozen", "42,42"), ("frozen,frozen", "42"), ("", "42")])
+def test_empty_or_repeated_matrix_is_a_config_error(dataset, tmp_path, strategy, seed):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out, strategy=strategy, seed=seed)) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing", ["run_stream", "trace_to_csv"])
+def test_failed_rerun_keeps_the_earlier_run(dataset, tmp_path, monkeypatch, failing):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out)) == 0
+    run_dir = out / "frozen" / "42"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+    def fail(*args):
+        raise RuntimeError("injected failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, failing, fail)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            main(_run_args(dataset, out))
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert sorted(p.name for p in run_dir.parent.iterdir()) == ["42", "summary.txt"]
+
+    (run_dir / "stale.txt").write_text("from an older run")
+    assert main(_run_args(dataset, out)) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(RUN_FILES)
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
 def test_project_reproduces_published_rows(capsys):

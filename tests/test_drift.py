@@ -60,7 +60,7 @@ def test_memory_stays_logarithmic_in_window_width():
         det.update(0.5)
     assert det.width == 50_000
     bound = det.max_buckets_per_row * (np.log2(det.width) + 2)
-    assert det.n_buckets() <= bound
+    assert len(det.bucket_counts()) <= bound
 
 
 def test_aggregates_exactly_consistent_after_detection():

@@ -279,6 +279,13 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(path) == manifest
 
 
+def test_manifest_bad_boolean_is_a_data_error(tmp_path):
+    path = tmp_path / "m.manifest"
+    path.write_text("label_column=label\ntimestamp_column=ts\nderive_time_since=maybe\n")
+    with pytest.raises(DataError, match="bad manifest value"):
+        load_manifest(path)
+
+
 def test_prepare_dataset_end_to_end(tmp_path):
     rng = np.random.default_rng(5)
     rows = []
@@ -301,3 +308,20 @@ def test_prepare_dataset_missing_file_is_data_error(tmp_path):
     _, manifest_path = _write_dataset(tmp_path, ["1000,0,80,web"])
     with pytest.raises(DataError):
         prepare_dataset(tmp_path / "nope.csv", manifest_path, SplitSpec(train_positive_target=1))
+
+
+def test_non_finite_numeric_cells_are_missing(tmp_path):
+    rows = [f"{i * 1_000},{1 if i % 10 == 0 else 0},{1000 + 37 * i},web" for i in range(60)]
+    matrices = {}
+    for name, (early, late) in {"blank": ("", ""), "non-finite": ("nan", "inf")}.items():
+        cells = list(rows)
+        cells[3] = cells[3].replace(",1111,", f",{early},")  # in the training split
+        cells[45] = cells[45].replace(",2665,", f",{late},")  # in the stream
+        root = tmp_path / name
+        root.mkdir()
+        csv_path, manifest_path = _write_dataset(root, cells)
+        data = prepare_dataset(csv_path, manifest_path, SplitSpec(train_positive_target=3))
+        matrices[name] = (data.X_train, data.X_stream)
+    assert np.isfinite(matrices["non-finite"][0]).all()
+    assert np.isfinite(matrices["non-finite"][1]).all()
+    assert all(np.array_equal(a, b) for a, b in zip(matrices["blank"], matrices["non-finite"]))
