@@ -13,9 +13,8 @@ from .gbt import BoostedEnsemble, TrainConfig, train_initial, warm_start_update
 from .ingest import (
     DataError,
     DatasetManifest,
-    EventRecord,
+    EventTable,
     Preprocessor,
-    SplitSpec,
     apply_leakage_filter,
     chronological_split,
     compute_time_since,

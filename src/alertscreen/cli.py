@@ -25,7 +25,7 @@ from .config import (
     validate_config,
 )
 from .controller import run_stream
-from .ingest import DataError, SplitSpec, prepare_dataset
+from .ingest import DataError, prepare_dataset
 from .metrics import Endpoints, bayes_projection, multiseed_summary, trace_to_csv
 from .schema import format_value
 from .synth import DriftPoint, SyntheticStreamSpec, write_dataset
@@ -145,11 +145,7 @@ def cmd_run(args):
     if "matched-replay" in cfg.strategies:
         schedule = _load_trigger_schedule(cfg.trigger_schedule_path)
 
-    data = prepare_dataset(
-        cfg.dataset_csv,
-        cfg.dataset_manifest,
-        SplitSpec(train_positive_target=cfg.train_positive_target),
-    )
+    data = prepare_dataset(cfg.dataset_csv, cfg.dataset_manifest, cfg.train_positive_target)
     logger.info(
         "prepared dataset: %d train rows (%d positive), %d stream rows (%d positive)",
         data.y_train.size,
@@ -164,7 +160,10 @@ def cmd_run(args):
         for seed in cfg.seeds:
             settings = build_settings(cfg, strategy, seed, trigger_schedule=schedule)
             result = run_stream(data.X_train, data.y_train, data.X_stream, data.y_stream, settings)
-            _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
+            try:
+                _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
+            except OSError as exc:
+                raise ConfigError(f"cannot write under run.out: {exc}") from exc
             endpoint_maps.append(result.endpoints.as_map())
             print(
                 f"{strategy} seed={seed}: fp/1M-benign="
@@ -215,7 +214,10 @@ def cmd_synth(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     manifest_path = args.manifest or args.out + ".manifest"
-    write_dataset(spec, args.out, manifest_path)
+    try:
+        write_dataset(spec, args.out, manifest_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the synthetic dataset: {exc}") from exc
     print(f"wrote {args.out} and {manifest_path}")
     return 0
 
@@ -245,14 +247,18 @@ def cmd_summarize(args):
     )
     for strategy in strategies:
         strat_dir = root / strategy
+        if not strat_dir.is_dir():
+            raise DataError(f"no such strategy directory: {strat_dir}")
         endpoint_maps = []
         for seed_dir in sorted(strat_dir.iterdir(), key=lambda p: p.name):
             endpoint_file = seed_dir / "endpoints.txt"
             if not endpoint_file.is_file():
                 continue
-            endpoint_maps.append(
-                Endpoints.from_text(endpoint_file.read_text(encoding="utf-8")).as_map()
-            )
+            try:
+                endpoints = Endpoints.from_text(endpoint_file.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise DataError(f"unreadable or malformed {endpoint_file}: {exc}") from exc
+            endpoint_maps.append(endpoints.as_map())
         if not endpoint_maps:
             raise DataError(f"no endpoint files under {strat_dir}")
         text = _summary_text(endpoint_maps)

@@ -10,10 +10,12 @@ Types, defaults and value domains live on the dataclasses a run uses
 ``CONFIG_KEYS`` maps each public key to the field that holds it.
 """
 
+import os
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
+from pathlib import Path
 
-from .controller import RunSettings
+from .controller import QUERYING_KINDS, RunSettings
 from .gbt import TrainConfig
 from .objectives import Objective
 from .schema import check_fields, format_value, interval, parse_value
@@ -141,9 +143,18 @@ def validate_config(cfg):
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
             try:
-                build_settings(cfg, strategy, seed)
+                settings = build_settings(cfg, strategy, seed)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            if strategy in QUERYING_KINDS and settings.query_budget == 0:
+                raise ConfigError(
+                    f"{strategy} would query no labels: round(acquisition.nominal_budget_fraction"
+                    f" x controller.buffer_capacity) is 0"
+                )
+    out = Path(cfg.out_dir).absolute()
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir() or not os.access(nearest, os.W_OK | os.X_OK):
+        raise ConfigError(f"run.out {cfg.out_dir!r} is not a usable directory path")
     return cfg
 
 

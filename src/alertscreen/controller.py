@@ -1,12 +1,13 @@
 """The streaming loop: score, trigger, query, accumulate, warm-start.
 
 Per stream batch the controller predicts with the current ensemble,
-updates rolling metrics, appends scored events to the recent buffer, and
-runs the strategy's trigger branch. Queried labels accumulate in a
-pending set across triggers; once the minimum update batch is reached the
-booster warm-starts on the pending labels, the pending set clears, and an
-event-based cooldown suppresses further querying. The updated ensemble
-takes effect at the next batch boundary (hot-swap between batches).
+updates rolling metrics, and runs the strategy's trigger branch, which
+queries among the last ``buffer_capacity`` events not queried before.
+Queried labels accumulate in a pending set across triggers; once the
+minimum update batch is reached the booster warm-starts on the pending
+labels, the pending set clears, and an event-based cooldown suppresses
+further querying. The updated ensemble takes effect at the next batch
+boundary (hot-swap between batches).
 
 Strategies: frozen (no updates), threshold-only (frozen at the
 recall-constrained threshold), periodic (fixed-interval random queries),
@@ -16,7 +17,6 @@ detector, still gated by cooldown and dedup eligibility).
 """
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +48,7 @@ STRATEGY_KINDS = (
     "threshold-only",
     "matched-replay",
 )
+QUERYING_KINDS = ("periodic", "adwin-random", "adwin-hybrid", "matched-replay")
 
 
 @dataclass
@@ -114,6 +115,11 @@ class RunSettings:
             seed=interval("[0, inf)"),
         )
 
+    @property
+    def query_budget(self):
+        """Labels asked per trigger: the budget fraction of the recent-event buffer, rounded."""
+        return int(round(self.nominal_budget_fraction * self.strategy.buffer_capacity))
+
 
 @dataclass
 class RunLedger:
@@ -176,12 +182,10 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         else None
     )
     acquisition_policy = _effective_policy(strat.kind, settings.acquisition_policy)
-    budget = int(round(settings.nominal_budget_fraction * strat.buffer_capacity))
+    budget = settings.query_budget
     schedule = sorted(set(strat.trigger_schedule or [])) if strat.kind == "matched-replay" else []
     schedule_set = set(schedule)
 
-    buffer = deque(maxlen=strat.buffer_capacity)  # (stream index, score)
-    queried = set()
     pending = []  # stream indices with oracle labels outstanding for the next update
     replay = ReplayBuffer(strat.replay_capacity) if strat.replay_enabled else None
     window = RollingWindow(settings.rolling_window)
@@ -189,6 +193,8 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
 
     n = y_stream.size
     preds = np.zeros(n, dtype=np.int8)
+    scores = np.zeros(n, dtype=np.float64)
+    queried = np.zeros(n, dtype=bool)
     cum_fp = 0
     cum_missed = 0
     recalls = []
@@ -206,11 +212,10 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         p = ensemble.predict_proba(X_stream[start:end])
         yhat = p >= theta
         preds[start:end] = yhat
+        scores[start:end] = p
         cum_fp += int(((yb == 0) & yhat).sum())
         cum_missed += int(((yb == 1) & ~yhat).sum())
         window.push_batch(yb, yhat)
-        for offset in range(end - start):
-            buffer.append((start + offset, float(p[offset])))
 
         triggered = False
         if adwin is not None:
@@ -236,13 +241,13 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
             and budget > 0
             and ensemble.n_trees < ensemble.max_trees
         ):
-            eligible = [(idx, score) for idx, score in buffer if idx not in queried]
-            if eligible:
-                scores = np.array([score for _, score in eligible])
-                batch = select_query_batch(scores, theta, budget, acquisition_policy, rng)
-                ids = [eligible[j][0] for j in batch.indices]
+            recent = np.arange(max(end - strat.buffer_capacity, 0), end)
+            eligible = recent[~queried[recent]]  # oldest first
+            if eligible.size:
+                batch = select_query_batch(scores[eligible], theta, budget, acquisition_policy, rng)
+                ids = eligible[batch.indices].tolist()
                 ledger.pending_before_trigger.append(len(pending))
-                queried.update(ids)
+                queried[ids] = True
                 pending.extend(ids)
                 queries_total += len(ids)
                 ledger.queried_ids.extend(ids)

@@ -3,13 +3,15 @@
 Input is delimited text (comma, header row) plus a small key-value
 manifest naming the label column, the timestamp column, and per-column
 kind (categorical/numeric). Timestamps may be integer milliseconds or
-ISO-8601. Post-decision columns are removed by a global denylist before
-any features are built; all encoding statistics come from the training
-split only.
+ISO-8601. The stream is held column-wise: each column's raw cells, each
+numeric column parsed once into floats, and label and timestamp arrays.
+Post-decision columns are removed by a global denylist before any
+features are built; all encoding statistics come from the training split
+only.
 """
 
 import csv
-import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -55,16 +57,6 @@ class DataError(Exception):
 
 
 @dataclass
-class EventRecord:
-    """One timestamped alert: raw string fields plus a binary label."""
-
-    index: int
-    timestamp: int
-    raw_fields: dict
-    label: int
-
-
-@dataclass
 class DatasetManifest:
     label_column: str
     timestamp_column: str
@@ -74,8 +66,24 @@ class DatasetManifest:
 
 
 @dataclass
-class SplitSpec:
-    train_positive_target: int = 100
+class EventTable:
+    """The time-sorted stream by column: every CSV column's raw text ``cells``,
+    the float ``numbers`` of each numeric column (NaN where blank, non-numeric
+    or non-finite; the derived time-since column included), labels, timestamps.
+    """
+
+    cells: dict
+    numbers: dict
+    labels: np.ndarray
+    timestamps: np.ndarray
+
+    def __len__(self):
+        return self.labels.size
+
+    def __getitem__(self, rows):
+        """The events at ``rows`` (a slice) as a table."""
+        cells, numbers = ({c: v[rows] for c, v in d.items()} for d in (self.cells, self.numbers))
+        return EventTable(cells, numbers, self.labels[rows], self.timestamps[rows])
 
 
 def apply_leakage_filter(column_names):
@@ -99,13 +107,10 @@ def compute_time_since(timestamps):
     Uses only prior events, so the feature stays causal.
     """
     timestamps = np.asarray(timestamps, dtype=np.int64)
-    if timestamps.size == 0:
-        return np.empty(0, dtype=np.float64)
-    if np.any(np.diff(timestamps) < 0):
+    deltas = np.diff(timestamps, prepend=timestamps[:1])
+    if np.any(deltas < 0):
         raise DataError("events must be sorted by timestamp")
-    out = np.zeros(timestamps.size, dtype=np.float64)
-    out[1:] = np.diff(timestamps)
-    return out
+    return deltas.astype(np.float64)
 
 
 def parse_timestamp(value):
@@ -153,11 +158,26 @@ def save_manifest(manifest, path):
         fh.writelines(lines)
 
 
-def load_events(csv_path, manifest):
-    """Read, chronologically sort, and index the alert stream.
+def _parse_number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
 
-    The causal time-since feature is derived here (after sorting) when the
-    manifest asks for it and the dataset does not already carry the column.
+
+def parse_numeric(cells):
+    """Float value of each cell; blank, non-numeric and non-finite cells are NaN."""
+    values = np.fromiter(map(_parse_number, cells), dtype=np.float64, count=len(cells))
+    values[~np.isfinite(values)] = np.nan
+    return values
+
+
+def load_events(csv_path, manifest):
+    """Read the alert stream and sort it chronologically, ties in file order.
+
+    The manifest's numeric columns are parsed here, and the causal
+    time-since column is derived (after sorting) when the manifest asks
+    for it and the dataset does not already carry the column.
     """
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -174,64 +194,44 @@ def load_events(csv_path, manifest):
         if col not in header:
             raise DataError(f"dataset missing declared column: {col!r}")
     label_pos = header.index(manifest.label_column)
-    ts_pos = header.index(manifest.timestamp_column)
-
-    parsed = []
     for row_num, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise DataError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-        raw = dict(zip(header, row))
-        label_text = row[label_pos].strip()
-        if label_text not in ("0", "1"):
-            raise DataError(f"row {row_num}: label must be 0 or 1, got {label_text!r}")
-        parsed.append((parse_timestamp(row[ts_pos]), int(label_text), raw))
+        if row[label_pos].strip() not in ("0", "1"):
+            raise DataError(f"row {row_num}: label must be 0 or 1, got {row[label_pos].strip()!r}")
 
-    parsed.sort(key=lambda item: item[0])
-    events = [
-        EventRecord(index=i, timestamp=ts, raw_fields=raw, label=label)
-        for i, (ts, label, raw) in enumerate(parsed)
-    ]
-    if manifest.derive_time_since and TIME_SINCE_COLUMN not in header:
-        deltas = compute_time_since([e.timestamp for e in events])
-        for event, delta in zip(events, deltas):
-            event.raw_fields[TIME_SINCE_COLUMN] = repr(float(delta))
-    return events
+    columns = list(zip(*rows)) or [()] * len(header)
+    ts_cells = columns[header.index(manifest.timestamp_column)]
+    try:
+        timestamps = np.array([parse_timestamp(v) for v in ts_cells], dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"timestamp out of the int64 millisecond range: {exc}") from exc
+    order = np.argsort(timestamps, kind="stable")
+    timestamps = timestamps[order]
+    labels = np.array([v.strip() == "1" for v in columns[label_pos]], dtype=np.int64)[order]
+    cells = {name: np.array(col, dtype=object)[order] for name, col in zip(header, columns)}
+    numeric = set(manifest.numeric) | ({TIME_SINCE_COLUMN} if manifest.derive_time_since else set())
+    numbers = {name: parse_numeric(col) for name, col in cells.items() if name in numeric}
+    if manifest.derive_time_since and TIME_SINCE_COLUMN not in cells:
+        numbers[TIME_SINCE_COLUMN] = compute_time_since(timestamps)
+    return EventTable(cells, numbers, labels, timestamps)
 
 
-def resolve_feature_columns(header, manifest):
-    """Ordered (categorical, numeric) feature columns after filtering.
+def resolve_feature_columns(table, manifest):
+    """Ordered (categorical, numeric) feature columns of ``table`` after filtering.
 
     The label and timestamp columns are metadata, never features; the
-    manifest's kind declarations act as the schema for the survivors.
+    manifest's kind declarations act as the schema for the survivors, and
+    the derived time-since column is numeric only.
     """
-    candidates = [c for c in header if c not in (manifest.label_column, manifest.timestamp_column)]
-    if manifest.derive_time_since and TIME_SINCE_COLUMN not in candidates:
-        candidates.append(TIME_SINCE_COLUMN)
+    metadata = (manifest.label_column, manifest.timestamp_column)
+    candidates = [c for c in {**table.cells, **table.numbers} if c not in metadata]
     retained = apply_leakage_filter(candidates)
-    cat_set = set(manifest.categorical)
-    num_set = set(manifest.numeric)
-    if manifest.derive_time_since:
-        num_set.add(TIME_SINCE_COLUMN)
-    categorical = [c for c in retained if c in cat_set]
-    numeric = [c for c in retained if c in num_set]
+    categorical = [c for c in retained if c in manifest.categorical and c in table.cells]
+    numeric = [c for c in retained if c in table.numbers]
     if not categorical and not numeric:
         raise DataError("no usable features after leakage filtering")
     return categorical, numeric
-
-
-def _is_missing(value):
-    return value is None or value.strip() == ""
-
-
-def _parse_numeric(value):
-    """Float value of a cell; blank, non-numeric and non-finite cells are missing."""
-    if _is_missing(value):
-        return None
-    try:
-        number = float(value)
-    except ValueError:
-        return None
-    return number if math.isfinite(number) else None
 
 
 class Preprocessor:
@@ -254,33 +254,24 @@ class Preprocessor:
         self.num_std = {}
         self._fitted = False
 
-    def fit(self, train_events):
-        if not train_events:
+    def fit(self, train):
+        """Fit on the training split, an ``EventTable``."""
+        if not len(train):
             raise DataError("cannot fit preprocessor on an empty training split")
         for col in self.categorical_columns:
-            values = [e.raw_fields.get(col) for e in train_events]
-            observed = [v for v in values if not _is_missing(v)]
-            if not observed:
+            counts = Counter(v for v in train.cells[col] if v.strip())  # in first-seen order
+            if not counts:
                 raise DataError(f"column {col!r} entirely missing in training split")
-            counts = {}
-            vocab = []
-            for v in observed:
-                if v not in counts:
-                    counts[v] = 0
-                    vocab.append(v)
-                counts[v] += 1
-            # mode: highest count, first-seen wins ties
-            self.cat_mode[col] = max(vocab, key=lambda v: counts[v])
-            self.onehot_vocab[col] = vocab + [UNSEEN_CATEGORY]
+            self.cat_mode[col] = max(counts, key=counts.get)  # first-seen wins ties
+            self.onehot_vocab[col] = [*counts, UNSEEN_CATEGORY]
         for col in self.numeric_columns:
-            values = [_parse_numeric(e.raw_fields.get(col)) for e in train_events]
-            observed = np.array([v for v in values if v is not None], dtype=np.float64)
-            if observed.size == 0:
+            values = train.numbers[col]
+            missing = np.isnan(values)
+            if missing.all():
                 raise DataError(f"column {col!r} entirely missing in training split")
-            median = float(np.median(observed))
-            imputed = np.array([median if v is None else v for v in values], dtype=np.float64)
+            self.num_median[col] = median = float(np.median(values[~missing]))
+            imputed = np.where(missing, median, values)
             std = float(np.std(imputed))
-            self.num_median[col] = median
             self.num_mean[col] = float(np.mean(imputed))
             self.num_std[col] = std if std > 0.0 else 1.0
         self._fitted = True
@@ -292,10 +283,10 @@ class Preprocessor:
             len(self.onehot_vocab[c]) for c in self.categorical_columns
         )
 
-    def transform(self, events):
+    def transform(self, table):
         if not self._fitted:
             raise DataError("preprocessor has not been fitted")
-        n = len(events)
+        n = len(table)
         X = np.zeros((n, self.width), dtype=np.float64)
         offset = 0
         for col in self.categorical_columns:
@@ -303,53 +294,35 @@ class Preprocessor:
             index = {v: i for i, v in enumerate(vocab[:-1])}
             unseen_slot = len(vocab) - 1
             mode_slot = index[self.cat_mode[col]]
-            for r, event in enumerate(events):
-                value = event.raw_fields.get(col)
-                if _is_missing(value):
-                    slot = mode_slot
-                else:
-                    slot = index.get(value, unseen_slot)
-                X[r, offset + slot] = 1.0
+            slots = [index.get(v, unseen_slot) if v.strip() else mode_slot for v in table.cells[col]]
+            X[np.arange(n), offset + np.array(slots, dtype=np.intp)] = 1.0
             offset += len(vocab)
         for k, col in enumerate(self.numeric_columns):
-            median = self.num_median[col]
-            mean = self.num_mean[col]
-            std = self.num_std[col]
-            j = offset + k
-            for r, event in enumerate(events):
-                value = _parse_numeric(event.raw_fields.get(col))
-                if value is None:
-                    value = median
-                X[r, j] = (value - mean) / std
+            values = table.numbers[col]
+            imputed = np.where(np.isnan(values), self.num_median[col], values)
+            X[:, offset + k] = (imputed - self.num_mean[col]) / self.num_std[col]
         return X
 
 
-def fit_preprocessor(train_events, categorical_columns, numeric_columns):
-    return Preprocessor(categorical_columns, numeric_columns).fit(train_events)
+def fit_preprocessor(train, categorical_columns, numeric_columns):
+    return Preprocessor(categorical_columns, numeric_columns).fit(train)
 
 
-def chronological_split(events, split_spec):
+def chronological_split(table, train_positive_target):
     """Smallest chronological prefix holding exactly the positive target.
 
     The prefix ends at the event carrying the Nth positive (inclusive); the
     remainder is the stream. Raises when the dataset has too few positives.
     """
-    target = split_spec.train_positive_target
-    if target <= 0:
+    if train_positive_target < 1:
         raise DataError("train_positive_target must be positive")
-    seen = 0
-    cut = None
-    for i, event in enumerate(events):
-        if event.label == 1:
-            seen += 1
-            if seen == target:
-                cut = i + 1
-                break
-    if cut is None:
+    positives = np.flatnonzero(table.labels == 1)
+    if positives.size < train_positive_target:
         raise DataError(
-            f"too few positives for split: have {seen}, need {target}"
+            f"too few positives for split: have {positives.size}, need {train_positive_target}"
         )
-    return events[:cut], events[cut:]
+    cut = int(positives[train_positive_target - 1]) + 1
+    return table[:cut], table[cut:]
 
 
 @dataclass
@@ -360,23 +333,15 @@ class PreparedData:
     y_train: np.ndarray
     X_stream: np.ndarray
     y_stream: np.ndarray
-    preprocessor: Preprocessor
 
 
-def prepare_dataset(csv_path, manifest_path, split_spec):
+def prepare_dataset(csv_path, manifest_path, train_positive_target):
     """Load, split, fit the encoder on train, and encode both partitions."""
     manifest = load_manifest(manifest_path)
-    events = load_events(csv_path, manifest)
-    if not events:
+    table = load_events(csv_path, manifest)
+    if not len(table):
         raise DataError("dataset contains no events")
-    header = list(events[0].raw_fields.keys())
-    categorical, numeric = resolve_feature_columns(header, manifest)
-    train_events, stream_events = chronological_split(events, split_spec)
-    pre = fit_preprocessor(train_events, categorical, numeric)
-    return PreparedData(
-        X_train=pre.transform(train_events),
-        y_train=np.array([e.label for e in train_events], dtype=np.int64),
-        X_stream=pre.transform(stream_events),
-        y_stream=np.array([e.label for e in stream_events], dtype=np.int64),
-        preprocessor=pre,
-    )
+    categorical, numeric = resolve_feature_columns(table, manifest)
+    train, stream = chronological_split(table, train_positive_target)
+    pre = fit_preprocessor(train, categorical, numeric)
+    return PreparedData(pre.transform(train), train.labels, pre.transform(stream), stream.labels)

@@ -8,7 +8,6 @@ reported number can be recomputed offline from the persisted trace.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -19,43 +18,26 @@ DELAY_MODES = ("positives", "events")
 
 
 class RollingWindow:
-    """Trailing (label, prediction) window with running confusion counters."""
+    """Outcome codes ``2·label + prediction`` of the trailing ``capacity`` events.
+
+    Code 0 is a true negative, 1 a false positive, 2 a false negative and
+    3 a true positive.
+    """
 
     def __init__(self, capacity=10_000):
         if capacity <= 0:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self._pairs = deque()
-        self.tp = 0
-        self.fp = 0
-        self.tn = 0
-        self.fn = 0
-
-    def push(self, label, pred):
-        if len(self._pairs) == self.capacity:
-            old_label, old_pred = self._pairs.popleft()
-            self._bump(old_label, old_pred, -1)
-        self._pairs.append((label, pred))
-        self._bump(label, pred, +1)
+        self._codes = np.empty(0, dtype=np.int8)
 
     def push_batch(self, labels, preds):
-        for label, pred in zip(labels, preds):
-            self.push(int(label), int(pred))
-
-    def _bump(self, label, pred, delta):
-        if label == 1:
-            if pred == 1:
-                self.tp += delta
-            else:
-                self.fn += delta
-        else:
-            if pred == 1:
-                self.fp += delta
-            else:
-                self.tn += delta
+        codes = 2 * (np.asarray(labels) == 1) + (np.asarray(preds) == 1)
+        self._codes = np.concatenate([self._codes, codes.astype(np.int8)])[-self.capacity :]
 
     def counts(self):
-        return self.tp, self.fp, self.tn, self.fn
+        """(tp, fp, tn, fn) over the window."""
+        tn, fp, fn, tp = np.bincount(self._codes, minlength=4).tolist()
+        return tp, fp, tn, fn
 
     def metrics(self):
         return rolling_metrics(self)
@@ -174,6 +156,9 @@ def bayes_projection(recall, fpr, prior, daily_events):
     n_pos = round(prior * daily_events); alert counts floor downwards and
     precision comes from the integer counts.
     """
+    for name, value in (("recall", recall), ("fpr", fpr)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
     if not 0.0 < prior < 1.0:
         raise ValueError("prior must lie in (0, 1)")
     if daily_events <= 0:
@@ -232,6 +217,9 @@ TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 def _decode(cls, raw):
     """Instance of dataclass ``cls`` from its fields' text values."""
+    missing = [f.name for f in fields(cls) if f.name not in raw]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
     return cls(**{f.name: parse_value(raw[f.name], f.type) for f in fields(cls)})
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import DatasetManifest, save_manifest
+from .schema import check_fields, interval, one_of
 
 TOPOLOGIES = ("recurrent-spikes", "single-burst")
 
@@ -26,6 +27,9 @@ class DriftPoint:
     index: int
     benign_mean: float
     malicious_mean: float | None = None  # None keeps the previous value
+
+    def __post_init__(self):
+        check_fields(self, index=interval("[0, inf)"))
 
 
 @dataclass
@@ -45,12 +49,18 @@ class SyntheticStreamSpec:
     timestamp_step: int = 1_000
 
     def __post_init__(self):
-        if not 0.0 < self.prevalence <= 0.05:
-            raise ValueError("prevalence must lie in (0, 0.05] for the low-prevalence regime")
-        if self.attack_topology not in TOPOLOGIES:
-            raise ValueError(f"unknown attack topology: {self.attack_topology!r}")
-        if self.n_categories > len(CATEGORY_NAMES):
-            raise ValueError(f"at most {len(CATEGORY_NAMES)} categories supported")
+        check_fields(
+            self,
+            length=interval("[1, inf)"),
+            prevalence=interval("(0, 0.05]"),  # the low-prevalence regime
+            n_features=interval("[0, inf)"),
+            attack_topology=one_of(TOPOLOGIES),
+            seed=interval("[0, inf)"),
+            n_categories=interval(f"[0, {len(CATEGORY_NAMES)}]"),
+            burst_start_frac=interval("[0, 1]"),
+            burst_density=interval("(0, 1]"),
+            spike_count=interval("[1, inf)"),
+        )
 
 
 def _place_positives(spec, rng):

@@ -21,7 +21,7 @@ from oracles import (
 from alertscreen.cli import main
 from alertscreen.controller import RunSettings, StrategyConfig, run_stream
 from alertscreen.drift import AdwinDetector
-from alertscreen.ingest import SplitSpec, prepare_dataset
+from alertscreen.ingest import prepare_dataset
 from alertscreen.metrics import (
     RollingWindow,
     TraceRow,
@@ -69,7 +69,7 @@ def ledger_stream(tmp_path_factory):
         drift_points=[DriftPoint(index=50_000, benign_mean=2.0)],
     )
     write_dataset(spec, root / "s.csv", root / "s.manifest")
-    return prepare_dataset(root / "s.csv", root / "s.manifest", SplitSpec(train_positive_target=40))
+    return prepare_dataset(root / "s.csv", root / "s.manifest", 40)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,7 @@ def test_directional_end_to_end(tmp_path):
         csv_path = tmp_path / f"d{seed}.csv"
         manifest_path = tmp_path / f"d{seed}.manifest"
         write_dataset(spec, csv_path, manifest_path)
-        data = prepare_dataset(csv_path, manifest_path, SplitSpec(train_positive_target=40))
+        data = prepare_dataset(csv_path, manifest_path, 40)
         for kind in fp1m:
             settings = RunSettings(strategy=StrategyConfig(kind=kind), seed=seed)
             result = run_stream(data.X_train, data.y_train, data.X_stream, data.y_stream, settings)

@@ -299,3 +299,84 @@ def test_summarize_recomputes_from_run_directories(dataset, tmp_path, capsys):
 
 def test_summarize_missing_directory_is_a_data_error(tmp_path):
     assert main(["summarize", "--out", str(tmp_path / "nothing")]) == 2
+
+
+@pytest.mark.parametrize("strategy,code", [("periodic", 1), ("adwin-hybrid", 1), ("frozen", 0)])
+def test_zero_query_budget_is_a_config_error(dataset, tmp_path, capsys, strategy, code):
+    out = tmp_path / "out"
+    args = _run_args(dataset, out, strategy=strategy, extra=["--controller.buffer_capacity", "10"])
+    assert main(args) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+
+def _malformed_endpoints(root, dataset):
+    (root / "out" / "frozen" / "42").mkdir(parents=True)
+    (root / "out" / "frozen" / "42" / "endpoints.txt").write_text("stream_events=12\nqueries\n")
+    return ["summarize", "--out", str(root / "out")]
+
+
+def _truncated_endpoints(root, dataset):
+    (root / "out" / "frozen" / "42").mkdir(parents=True)
+    (root / "out" / "frozen" / "42" / "endpoints.txt").write_text("stream_events=12\n")
+    return ["summarize", "--out", str(root / "out")]
+
+
+def _unknown_strategy(root, dataset):
+    (root / "out").mkdir()
+    return ["summarize", "--out", str(root / "out"), "--strategy", "nope"]
+
+
+def _out_is_a_file(root, dataset):
+    (root / "taken").write_text("not a directory\n")
+    return _run_args(dataset, root / "taken")
+
+
+def _out_below_a_file(root, dataset):
+    (root / "taken").write_text("not a directory\n")
+    return _run_args(dataset, root / "taken" / "out")
+
+
+def _strategy_dir_is_a_file(root, dataset):
+    (root / "out").mkdir()
+    (root / "out" / "frozen").write_text("not a directory\n")
+    return _run_args(dataset, root / "out")
+
+
+@pytest.mark.parametrize(
+    "make_args,code,prefix",
+    [
+        (_malformed_endpoints, 2, "data error: "),
+        (_truncated_endpoints, 2, "data error: "),
+        (_unknown_strategy, 2, "data error: "),
+        (_out_is_a_file, 1, "config error: "),
+        (_out_below_a_file, 1, "config error: "),
+        (_strategy_dir_is_a_file, 1, "config error: "),
+    ],
+)
+def test_unusable_run_paths_and_files_end_with_a_message(
+    dataset, tmp_path, capsys, make_args, code, prefix
+):
+    assert main(make_args(tmp_path, dataset)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--out", "{tmp}/s.csv", "--length", "-5"],
+        ["synth", "--out", "{tmp}/s.csv", "--topology", "single-burst", "--burst-density", "0"],
+        ["synth", "--out", "{tmp}/missing_dir/s.csv", "--length", "100"],
+        ["synth", "--out", "{tmp}/s.csv", "--drift=-5:2.0"],
+        ["project", "--recall", "2", "--fpr", "0.001", "--prior", "0.001"],
+        ["project", "--recall", "0.9", "--fpr", "-1", "--prior", "0.001"],
+    ],
+)
+def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
+    assert main([a.format(tmp=tmp_path) for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "s.csv").exists()

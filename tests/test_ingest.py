@@ -4,8 +4,7 @@ import pytest
 from alertscreen.ingest import (
     DataError,
     DatasetManifest,
-    EventRecord,
-    SplitSpec,
+    EventTable,
     UNSEEN_CATEGORY,
     apply_leakage_filter,
     chronological_split,
@@ -13,17 +12,22 @@ from alertscreen.ingest import (
     fit_preprocessor,
     load_events,
     load_manifest,
+    parse_numeric,
     prepare_dataset,
     save_manifest,
 )
 
 
 def _events(values, column="v", labels=None):
+    """A one-column table of ``values``, one event per second."""
     labels = labels if labels is not None else [0] * len(values)
-    return [
-        EventRecord(index=i, timestamp=i * 1_000, raw_fields={column: v}, label=labels[i])
-        for i, v in enumerate(values)
-    ]
+    cells = np.array(values, dtype=object)
+    return EventTable(
+        cells={column: cells},
+        numbers={column: parse_numeric(cells)},
+        labels=np.array(labels, dtype=np.int64),
+        timestamps=np.arange(len(values), dtype=np.int64) * 1_000,
+    )
 
 
 # --- leakage filter ----------------------------------------------------------
@@ -163,15 +167,15 @@ def test_transform_width_fixed_across_partitions():
 
 def test_split_smallest_prefix_with_target_positives():
     events = _events(list("abcdef"), labels=[0, 1, 0, 1, 0, 0])
-    train, stream = chronological_split(events, SplitSpec(train_positive_target=1))
+    train, stream = chronological_split(events, 1)
     assert len(train) == 2 and len(stream) == 4
-    assert sum(e.label for e in train) == 1
+    assert train.labels.sum() == 1
 
 
 def test_split_target_equals_total_positives():
     events = _events(list("abcd"), labels=[1, 0, 1, 0])
-    train, stream = chronological_split(events, SplitSpec(train_positive_target=2))
-    assert sum(e.label for e in stream) == 0
+    train, stream = chronological_split(events, 2)
+    assert stream.labels.sum() == 0
     assert len(train) + len(stream) == 4
 
 
@@ -181,10 +185,10 @@ def test_split_low_positive_warm_start_shape():
     labels = np.zeros(8_000, dtype=int)
     labels[rng.choice(8_000, size=5_821, replace=False)] = 1
     events = _events([str(i) for i in range(8_000)], labels=list(labels))
-    train, stream = chronological_split(events, SplitSpec(train_positive_target=100))
-    assert sum(e.label for e in train) == 100
-    assert sum(e.label for e in stream) == 5_721
-    assert train[-1].label == 1  # prefix ends at the Nth positive, inclusive
+    train, stream = chronological_split(events, 100)
+    assert train.labels.sum() == 100
+    assert stream.labels.sum() == 5_721
+    assert train.labels[-1] == 1  # prefix ends at the Nth positive, inclusive
 
 
 def test_split_positive_count_always_exact():
@@ -196,17 +200,22 @@ def test_split_positive_count_always_exact():
         events = _events([str(i) for i in range(n)], labels=list(labels))
         if labels.sum() < target:
             with pytest.raises(DataError, match="too few positives"):
-                chronological_split(events, SplitSpec(train_positive_target=target))
+                chronological_split(events, target)
             continue
-        train, stream = chronological_split(events, SplitSpec(train_positive_target=target))
-        assert sum(e.label for e in train) == target
+        train, stream = chronological_split(events, target)
+        assert train.labels.sum() == target
         assert len(train) + len(stream) == n
+
+
+def test_split_target_below_one_is_a_data_error():
+    with pytest.raises(DataError, match="must be positive"):
+        chronological_split(_events(list("ab"), labels=[1, 1]), 0)
 
 
 def test_split_too_few_positives_reports_count():
     events = _events(list("abc"), labels=[0, 1, 0])
     with pytest.raises(DataError, match="have 1, need 5"):
-        chronological_split(events, SplitSpec(train_positive_target=5))
+        chronological_split(events, 5)
 
 
 # --- loader ------------------------------------------------------------------
@@ -236,25 +245,27 @@ def test_loader_sorts_parses_and_derives_time_since(tmp_path):
     csv_path, manifest_path = _write_dataset(tmp_path, rows)
     manifest = load_manifest(manifest_path)
     events = load_events(csv_path, manifest)
-    assert [e.label for e in events] == [1, 0, 0]
-    assert [e.index for e in events] == [0, 1, 2]
-    assert events[1].timestamp - events[0].timestamp == 1_000
-    assert [e.raw_fields["time_since_last_event"] for e in events] == ["0.0", "1000.0", "1000.0"]
+    assert len(events) == 3
+    assert list(events.labels) == [1, 0, 0]
+    assert list(events.cells["port"]) == ["443", "22", "80"]
+    assert events.timestamps[1] - events.timestamps[0] == 1_000
+    assert list(events.numbers["time_since_last_event"]) == [0.0, 1000.0, 1000.0]
 
 
 def test_loader_accepts_integer_millisecond_timestamps(tmp_path):
     rows = ["1000,0,80,web", "3500,1,443,web"]
     csv_path, manifest_path = _write_dataset(tmp_path, rows)
     events = load_events(csv_path, load_manifest(manifest_path))
-    assert events[1].timestamp == 3_500
+    assert list(events.timestamps) == [1_000, 3_500]
 
 
 def test_loader_keeps_file_order_for_tied_timestamps(tmp_path):
     rows = ["1000,0,80,web", "1000,0,22,ssh", "1000,1,443,web"]
     csv_path, manifest_path = _write_dataset(tmp_path, rows)
     events = load_events(csv_path, load_manifest(manifest_path))
-    assert [e.raw_fields["port"] for e in events] == ["80", "22", "443"]
-    assert [e.raw_fields["time_since_last_event"] for e in events] == ["0.0", "0.0", "0.0"]
+    assert list(events.cells["port"]) == ["80", "22", "443"]
+    assert list(events.numbers["port"]) == [80.0, 22.0, 443.0]
+    assert list(events.numbers["time_since_last_event"]) == [0.0, 0.0, 0.0]
 
 
 def test_loader_rejects_bad_labels_and_ragged_rows(tmp_path):
@@ -264,6 +275,9 @@ def test_loader_rejects_bad_labels_and_ragged_rows(tmp_path):
     csv_path2, _ = _write_dataset(tmp_path, ["1000,0,80"])
     with pytest.raises(DataError, match="fields"):
         load_events(csv_path2, load_manifest(manifest_path))
+    csv_path3, _ = _write_dataset(tmp_path, ["99999999999999999999,0,80,web"])
+    with pytest.raises(DataError, match="int64"):
+        load_events(csv_path3, load_manifest(manifest_path))
 
 
 def test_manifest_round_trip(tmp_path):
@@ -295,19 +309,19 @@ def test_prepare_dataset_end_to_end(tmp_path):
         category = "exploit" if label else "web"
         rows.append(f"{i * 1_000},{label},{port},{category}")
     csv_path, manifest_path = _write_dataset(tmp_path, rows)
-    data = prepare_dataset(csv_path, manifest_path, SplitSpec(train_positive_target=5))
+    data = prepare_dataset(csv_path, manifest_path, 5)
     assert data.y_train.sum() == 5
     assert data.X_train.shape[1] == data.X_stream.shape[1]
     assert data.y_train.size + data.y_stream.size == 400
     # deterministic transform
-    again = prepare_dataset(csv_path, manifest_path, SplitSpec(train_positive_target=5))
+    again = prepare_dataset(csv_path, manifest_path, 5)
     assert np.array_equal(data.X_stream, again.X_stream)
 
 
 def test_prepare_dataset_missing_file_is_data_error(tmp_path):
     _, manifest_path = _write_dataset(tmp_path, ["1000,0,80,web"])
     with pytest.raises(DataError):
-        prepare_dataset(tmp_path / "nope.csv", manifest_path, SplitSpec(train_positive_target=1))
+        prepare_dataset(tmp_path / "nope.csv", manifest_path, 1)
 
 
 def test_non_finite_numeric_cells_are_missing(tmp_path):
@@ -320,7 +334,7 @@ def test_non_finite_numeric_cells_are_missing(tmp_path):
         root = tmp_path / name
         root.mkdir()
         csv_path, manifest_path = _write_dataset(root, cells)
-        data = prepare_dataset(csv_path, manifest_path, SplitSpec(train_positive_target=3))
+        data = prepare_dataset(csv_path, manifest_path, 3)
         matrices[name] = (data.X_train, data.X_stream)
     assert np.isfinite(matrices["non-finite"][0]).all()
     assert np.isfinite(matrices["non-finite"][1]).all()

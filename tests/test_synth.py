@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alertscreen.ingest import SplitSpec, load_events, load_manifest, prepare_dataset
+from alertscreen.ingest import load_events, load_manifest, prepare_dataset
 from alertscreen.synth import DriftPoint, SyntheticStreamSpec, generate_stream, write_dataset
 
 
@@ -69,7 +69,7 @@ def test_written_dataset_flows_through_ingestion(tmp_path):
     assert manifest.categorical == ["alert_category"]
     events = load_events(csv_path, manifest)
     assert len(events) == 4_000
-    data = prepare_dataset(csv_path, manifest_path, SplitSpec(train_positive_target=10))
+    data = prepare_dataset(csv_path, manifest_path, 10)
     assert data.y_train.sum() == 10
     # 3 one-hot slots + unseen slot + 4 numeric + derived time-since
     assert data.X_train.shape[1] == 4 + 4 + 1
