@@ -2,8 +2,8 @@
 
 Four policies: uniform random, threshold-relative uncertainty (smallest
 |p - theta|), high-score (largest p), and hybrid (half uncertainty, half
-high-score with dedup and top-up). All ties break by buffer index
-ascending so selections are reproducible.
+high-score with dedup). All ties break by buffer index ascending so
+selections are reproducible.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +16,6 @@ POLICIES = ("random", "uncertainty", "high-score", "hybrid")
 @dataclass
 class QueryBatch:
     indices: list
-    policy: str
-    budget: int
     short: bool = False
 
 
@@ -33,37 +31,28 @@ def select_query_batch(scores, theta, budget, policy, rng):
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     if budget == 0:
-        return QueryBatch([], policy, budget)
+        return QueryBatch([])
     if budget >= n:
-        return QueryBatch(list(range(n)), policy, budget, short=budget > n)
+        return QueryBatch(list(range(n)), short=budget > n)
 
     order_idx = np.arange(n)
     if policy == "random":
         picked = rng.choice(n, size=budget, replace=False)
-        return QueryBatch([int(i) for i in picked], policy, budget)
+        return QueryBatch([int(i) for i in picked])
     if policy == "uncertainty":
         order = np.lexsort((order_idx, np.abs(scores - theta)))
-        return QueryBatch([int(i) for i in order[:budget]], policy, budget)
+        return QueryBatch([int(i) for i in order[:budget]])
     if policy == "high-score":
         order = np.lexsort((order_idx, -scores))
-        return QueryBatch([int(i) for i in order[:budget]], policy, budget)
+        return QueryBatch([int(i) for i in order[:budget]])
 
     # hybrid: floor(budget/2) by smallest |p - theta|, the remainder by
-    # largest p among events not already chosen (dedup), topped up from the
-    # highest remaining scores when short
-    k_unc = budget // 2
-    unc_order = np.lexsort((order_idx, np.abs(scores - theta)))
-    chosen = [int(i) for i in unc_order[:k_unc]]
-    taken = set(chosen)
-    hi_order = np.lexsort((order_idx, -scores))
-    for i in hi_order:
-        if len(chosen) >= budget:
-            break
-        i = int(i)
-        if i not in taken:
-            chosen.append(i)
-            taken.add(i)
-    return QueryBatch(chosen, policy, budget, short=len(chosen) < budget)
+    # largest p among events not already chosen (dedup); budget < n, so
+    # the high-score remainder always fills the budget
+    unc = np.lexsort((order_idx, np.abs(scores - theta)))[: budget // 2]
+    hi = np.lexsort((order_idx, -scores))
+    chosen = np.concatenate([unc, hi[~np.isin(hi, unc)][: budget - unc.size]])
+    return QueryBatch([int(i) for i in chosen])
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .config import (
     set_key,
     validate_config,
 )
-from .controller import run_stream
+from .controller import STRATEGIES, run_stream
 from .ingest import DataError, prepare_dataset
 from .metrics import Endpoints, bayes_projection, multiseed_summary, trace_to_csv
 from .schema import format_value
@@ -102,6 +102,15 @@ def _load_trigger_schedule(path):
         raise DataError(f"malformed trigger schedule {path!r}: {exc}") from exc
 
 
+def _check_trigger_schedule(schedule, stream_events, batch_size):
+    """Every entry up to the stream end must be a batch end; later ones warn in run_stream."""
+    bad = sorted({t for t in schedule if t <= 0 or (t < stream_events and t % batch_size)})
+    if bad:
+        raise DataError(
+            f"trigger schedule entries {bad} are not batch ends (batch size {batch_size})"
+        )
+
+
 def _write_run_dir(run_dir, cfg, strategy, seed, result):
     """Write the four run files into a temporary sibling, then move it into place.
 
@@ -142,7 +151,7 @@ def cmd_run(args):
     validate_config(cfg)
 
     schedule = None
-    if "matched-replay" in cfg.strategies:
+    if any(STRATEGIES[strategy][0] == "schedule" for strategy in cfg.strategies):
         schedule = _load_trigger_schedule(cfg.trigger_schedule_path)
 
     data = prepare_dataset(cfg.dataset_csv, cfg.dataset_manifest, cfg.train_positive_target)
@@ -153,6 +162,8 @@ def cmd_run(args):
         data.y_stream.size,
         int(data.y_stream.sum()),
     )
+    if schedule is not None:
+        _check_trigger_schedule(schedule, data.y_stream.size, cfg.settings.strategy.batch_size)
 
     out_root = Path(cfg.out_dir)
     for strategy in cfg.strategies:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
-from .controller import QUERYING_KINDS, RunSettings
+from .controller import QUERYING_KINDS, STRATEGIES, RunSettings
 from .gbt import TrainConfig
 from .objectives import Objective
 from .schema import check_fields, format_value, interval, parse_value
@@ -138,19 +138,19 @@ def validate_config(cfg):
         raise ConfigError("at least one strategy and one seed are required")
     if len(set(cfg.strategies)) < len(cfg.strategies) or len(set(cfg.seeds)) < len(cfg.seeds):
         raise ConfigError("run.strategies and run.seeds must not repeat a value")
-    if "matched-replay" in cfg.strategies and not cfg.trigger_schedule_path:
-        raise ConfigError("matched-replay requires strategy.trigger_schedule")
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
             try:
                 settings = build_settings(cfg, strategy, seed)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            if strategy in QUERYING_KINDS and settings.query_budget == 0:
-                raise ConfigError(
-                    f"{strategy} would query no labels: round(acquisition.nominal_budget_fraction"
-                    f" x controller.buffer_capacity) is 0"
-                )
+        if STRATEGIES[strategy][0] == "schedule" and not cfg.trigger_schedule_path:
+            raise ConfigError(f"{strategy} requires strategy.trigger_schedule")
+        if strategy in QUERYING_KINDS and settings.query_budget == 0:
+            raise ConfigError(
+                f"{strategy} would query no labels: round(acquisition.nominal_budget_fraction"
+                f" x controller.buffer_capacity) is 0"
+            )
     out = Path(cfg.out_dir).absolute()
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir() or not os.access(nearest, os.W_OK | os.X_OK):

@@ -9,11 +9,11 @@ labels, the pending set clears, and an event-based cooldown suppresses
 further querying. The updated ensemble takes effect at the next batch
 boundary (hot-swap between batches).
 
-Strategies: frozen (no updates), threshold-only (frozen at the
-recall-constrained threshold), periodic (fixed-interval random queries),
-adwin-random / adwin-hybrid (score-shift-triggered queries), and
-matched-replay (consumes a recorded trigger schedule instead of a live
-detector, still gated by cooldown and dedup eligibility).
+Strategies (``STRATEGIES``): frozen (no updates), threshold-only (frozen
+at the recall-constrained threshold), periodic (fixed-interval random
+queries), adwin-random / adwin-hybrid (score-shift-triggered queries),
+and matched-replay (consumes a recorded trigger schedule instead of a
+live detector, still gated by cooldown and dedup eligibility).
 """
 
 import logging
@@ -40,15 +40,18 @@ from .threshold import THRESHOLD_POLICIES, select_threshold
 
 logger = logging.getLogger(__name__)
 
-STRATEGY_KINDS = (
-    "frozen",
-    "periodic",
-    "adwin-random",
-    "adwin-hybrid",
-    "threshold-only",
-    "matched-replay",
-)
-QUERYING_KINDS = ("periodic", "adwin-random", "adwin-hybrid", "matched-replay")
+# kind -> (trigger, acquisition policy, threshold policy). A trigger of
+# None never queries; a policy of None uses the configured one.
+STRATEGIES = {
+    "frozen": (None, None, None),
+    "periodic": ("periodic", "random", None),
+    "adwin-random": ("adwin", "random", None),
+    "adwin-hybrid": ("adwin", "hybrid", None),
+    "threshold-only": (None, None, "recall-constrained"),
+    "matched-replay": ("schedule", None, None),
+}
+STRATEGY_KINDS = tuple(STRATEGIES)
+QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if trigger)
 
 
 @dataclass
@@ -145,14 +148,6 @@ class RunResult:
     ledger: RunLedger
 
 
-def _effective_policy(kind, configured):
-    if kind == "periodic" or kind == "adwin-random":
-        return "random"
-    if kind == "adwin-hybrid":
-        return "hybrid"
-    return configured  # matched-replay substitutes the configured policy
-
-
 def run_stream(X_train, y_train, X_stream, y_stream, settings):
     """Execute one full streaming run; deterministic for a fixed seed."""
     strat = settings.strategy
@@ -161,6 +156,10 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     X_stream = np.asarray(X_stream, dtype=np.float64)
     y_stream = np.asarray(y_stream, dtype=np.int64)
 
+    trigger, acquisition_policy, threshold_policy = STRATEGIES[strat.kind]
+    acquisition_policy = acquisition_policy or settings.acquisition_policy
+    threshold_policy = threshold_policy or settings.threshold_policy
+
     rng = np.random.default_rng(settings.seed)
     objective = resolve_pos_weight(settings.objective, y_train)
     ensemble = gbt.train_initial(X_train, y_train, objective, settings.train, rng=rng)
@@ -168,23 +167,14 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     tail_n = max(1, int(round(settings.tail_fraction * y_train.size)))
     tail_scores = ensemble.predict_proba(X_train[-tail_n:])
     tail_labels = y_train[-tail_n:]
-    policy_name = (
-        "recall-constrained" if strat.kind == "threshold-only" else settings.threshold_policy
-    )
     operating_point = select_threshold(
-        tail_scores, tail_labels, policy_name, settings.grid_points, settings.min_recall
+        tail_scores, tail_labels, threshold_policy, settings.grid_points, settings.min_recall
     )
     theta = operating_point.theta
 
-    adwin = (
-        AdwinDetector(settings.adwin_delta)
-        if strat.kind in ("adwin-random", "adwin-hybrid")
-        else None
-    )
-    acquisition_policy = _effective_policy(strat.kind, settings.acquisition_policy)
+    adwin = AdwinDetector(settings.adwin_delta) if trigger == "adwin" else None
     budget = settings.query_budget
-    schedule = sorted(set(strat.trigger_schedule or [])) if strat.kind == "matched-replay" else []
-    schedule_set = set(schedule)
+    schedule = set(strat.trigger_schedule or []) if trigger == "schedule" else set()
 
     pending = []  # stream indices with oracle labels outstanding for the next update
     replay = ReplayBuffer(strat.replay_capacity) if strat.replay_enabled else None
@@ -197,10 +187,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     queried = np.zeros(n, dtype=bool)
     cum_fp = 0
     cum_missed = 0
-    recalls = []
     cooldown = 0
-    updates_done = 0
-    queries_total = 0
     applied_pos = 0
     applied_neg = 0
     replayed = 0
@@ -218,19 +205,19 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         window.push_batch(yb, yhat)
 
         triggered = False
-        if adwin is not None:
+        if trigger == "adwin":
             for value in p:
                 if adwin.update(float(value)):
                     triggered = True
-        elif strat.kind == "periodic":
+        elif trigger == "periodic":
             crossed = end // strat.periodic_interval > start // strat.periodic_interval
             capped = (
                 strat.periodic_max_updates is not None
-                and updates_done >= strat.periodic_max_updates
+                and len(ledger.update_events) >= strat.periodic_max_updates
             )
             triggered = crossed and not capped
-        elif strat.kind == "matched-replay":
-            triggered = end in schedule_set
+        elif trigger == "schedule":
+            triggered = end in schedule
             if triggered and cooldown > 0:
                 ledger.schedule_suppressed_by_cooldown += 1
 
@@ -249,7 +236,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
                 ledger.pending_before_trigger.append(len(pending))
                 queried[ids] = True
                 pending.extend(ids)
-                queries_total += len(ids)
                 ledger.queried_ids.extend(ids)
                 ledger.per_trigger_sizes.append(len(ids))
                 ledger.trigger_events.append(end)
@@ -271,10 +257,9 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
             if result.cap_reached:
                 logger.info("tree cap reached at %d trees", result.ensemble.n_trees)
             ensemble = result.ensemble  # hot-swap; effective from the next batch
-            if result.appended > 0:
-                updates_done += 1
-                ledger.update_events.append(end)
-                update_fired = 1
+            # at least one tree was appended: the trigger that filled pending saw room
+            ledger.update_events.append(end)
+            update_fired = 1
             pending.clear()
             cooldown = strat.cooldown_events
         ledger.max_pending_after_check = max(ledger.max_pending_after_check, len(pending))
@@ -282,7 +267,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         cooldown = max(cooldown - (end - start), 0)
 
         m = window.metrics()
-        recalls.append(m["recall"])
         trace.append(
             TraceRow(
                 batch_end_index=end,
@@ -292,20 +276,17 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
                 rolling_fpr=m["fpr"],
                 cum_fp=cum_fp,
                 cum_missed_pos=cum_missed,
-                cum_queries=queries_total,
-                cum_updates=updates_done,
+                cum_queries=len(ledger.queried_ids),
+                cum_updates=len(ledger.update_events),
                 trigger_fired=trigger_fired,
                 update_fired=update_fired,
             )
         )
 
-    if strat.kind == "matched-replay":
-        beyond = [t for t in schedule if t > n]
-        if beyond:
-            ledger.schedule_skipped_beyond_end = len(beyond)
-            logger.warning(
-                "%d scheduled trigger(s) beyond stream end ignored: %s", len(beyond), beyond
-            )
+    beyond = sorted(t for t in schedule if t > n)
+    if beyond:
+        ledger.schedule_skipped_beyond_end = len(beyond)
+        logger.warning("%d scheduled trigger(s) beyond stream end ignored: %s", len(beyond), beyond)
 
     benign_count = int((y_stream == 0).sum())
     stats = missed_positive_stats(
@@ -320,15 +301,15 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         cum_fp=cum_fp,
         fp_per_million_benign=fp_burden(cum_fp, benign_count),
         cum_missed_pos=stats.count,
-        positive_window_recall=positive_window_recall(recalls),
+        positive_window_recall=positive_window_recall([row.rolling_recall for row in trace]),
         max_missed_streak=stats.max_streak,
         mean_burst_delay=stats.mean_burst_delay,
-        queries=queries_total,
-        updates=updates_done,
+        queries=len(ledger.queried_ids),
+        updates=len(ledger.update_events),
         applied_pos=applied_pos,
         applied_neg=applied_neg,
         replayed_labels=replayed,
-        realized_query_rate=realized_query_rate(queries_total, n) if n else 0.0,
+        realized_query_rate=realized_query_rate(len(ledger.queried_ids), n) if n else 0.0,
         trees=ensemble.n_trees,
     )
     return RunResult(

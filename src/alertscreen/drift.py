@@ -24,7 +24,6 @@ class AdwinDetector:
         self.rows = [[]]
         self.total_count = 0
         self.total_sum = 0.0
-        self.n_detections = 0
 
     @property
     def width(self):
@@ -55,10 +54,7 @@ class AdwinDetector:
         if not 0.0 <= value <= 1.0:
             raise ValueError("adwin input must lie in [0, 1]")
         self._insert(value)
-        changed = self._shrink()
-        if changed:
-            self.n_detections += 1
-        return changed
+        return self._shrink()
 
     def _insert(self, value):
         self.rows[0].append(value)

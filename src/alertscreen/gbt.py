@@ -49,28 +49,32 @@ class Tree:
     """One regression tree as flat node arrays.
 
     feature[i] >= 0 marks a split node (go left when x[feature] < threshold),
-    feature[i] == -1 marks a leaf whose additive value is value[i].
+    feature[i] == -1 marks a leaf whose additive value is value[i]. Leaves
+    point to themselves, so ``apply`` takes ``depth`` steps for every row.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = ("feature", "threshold", "left", "right", "value", "depth")
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
+        leaf = self.feature < 0
+        nodes = np.arange(leaf.size, dtype=np.int32)
+        self.left = np.where(leaf, nodes, np.asarray(left, dtype=np.int32))
+        self.right = np.where(leaf, nodes, np.asarray(right, dtype=np.int32))
+        level, self.depth = nodes[:1], 0  # breadth-first, from the root
+        while (level := level[~leaf[level]]).size:
+            level = np.concatenate([self.left[level], self.right[level]])
+            self.depth += 1
 
     def apply(self, X):
         """Leaf value per row of X."""
+        rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=np.int32)
-        pending = self.feature[node] >= 0
-        while pending.any():
-            idx = np.nonzero(pending)[0]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] < self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            pending[idx] = self.feature[node[idx]] >= 0
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] < self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
         return self.value[node]
 
 

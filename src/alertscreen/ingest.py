@@ -312,7 +312,8 @@ def chronological_split(table, train_positive_target):
     """Smallest chronological prefix holding exactly the positive target.
 
     The prefix ends at the event carrying the Nth positive (inclusive); the
-    remainder is the stream. Raises when the dataset has too few positives.
+    remainder is the stream. Raises when the dataset has too few positives
+    or the prefix has no benign event.
     """
     if train_positive_target < 1:
         raise DataError("train_positive_target must be positive")
@@ -322,6 +323,8 @@ def chronological_split(table, train_positive_target):
             f"too few positives for split: have {positives.size}, need {train_positive_target}"
         )
     cut = int(positives[train_positive_target - 1]) + 1
+    if cut == train_positive_target:
+        raise DataError(f"the training prefix (first {cut} events) holds no benign event")
     return table[:cut], table[cut:]
 
 

@@ -380,3 +380,44 @@ def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (tmp_path / "s.csv").exists()
+
+
+def _positives_first_dataset(root):
+    """3,000 events whose first three are positive."""
+    labels = [1, 1, 1] + [int(i % 100 == 0) for i in range(3, 3_000)]
+    rows = [f"{i * 1_000},{label},{(i * 7919) % 1_000 / 100}\n" for i, label in enumerate(labels)]
+    (root / "pos.csv").write_text("timestamp,label,f0\n" + "".join(rows))
+    (root / "pos.manifest").write_text(
+        "label_column=label\ntimestamp_column=timestamp\nnumeric=f0\n"
+    )
+    return root / "pos.csv", root / "pos.manifest"
+
+
+@pytest.mark.parametrize("extra", [[], ["--objective.pos_weight", "2"]])
+def test_training_prefix_without_benign_event_is_a_data_error(tmp_path, capsys, extra):
+    args = _run_args(_positives_first_dataset(tmp_path), tmp_path / "out", extra=extra)
+    args[args.index("--dataset.train_positive_target") + 1] = "2"
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "no benign event" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entries,code",
+    [([3500, -5, 0], 2), ([1500], 2), ([1000, 3000, 99000], 0)],
+)
+def test_schedule_entries_must_be_batch_ends(dataset, tmp_path, capsys, entries, code):
+    schedule = tmp_path / "triggers.txt"
+    schedule.write_text("".join(f"{t}\n" for t in entries))
+    out = tmp_path / "out"
+    extra = ["--strategy.trigger_schedule", str(schedule)]
+    args = _run_args(dataset, out, strategy="matched-replay", extra=extra)
+    assert main(args) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("data error: ") and str(sorted(entries)) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert (out / "matched-replay" / "42" / "triggers.txt").read_text() == "1000\n3000\n"

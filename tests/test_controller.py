@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from conftest import gaussian_splits
 from oracles import pure_prediction_trace
 
-from alertscreen.controller import RunSettings, StrategyConfig, run_stream
+from alertscreen.controller import STRATEGIES, RunSettings, StrategyConfig, run_stream
 from alertscreen.metrics import trace_to_csv
 
 
@@ -251,3 +252,39 @@ def test_oracle_labels_come_from_stream_ground_truth():
     ids = np.array(result.ledger.queried_ids)
     assert result.endpoints.applied_pos == int(y_stream[ids].sum())
     assert result.endpoints.applied_neg == int((y_stream[ids] == 0).sum())
+
+
+@pytest.fixture(scope="module")
+def drifting_small_splits():
+    # small_splits' shape, with a benign shift at 3,000 so ADWIN fires
+    return gaussian_splits(seed=9, n_train=2_000, n_stream=8_000, drift_at=3_000, drift_shift=1.5)
+
+
+# the configured policies each kind ignores, as in the README's strategy table
+IGNORED_POLICIES = {
+    "frozen": {"acquisition"},
+    "periodic": {"acquisition"},
+    "adwin-random": {"acquisition"},
+    "adwin-hybrid": {"acquisition"},
+    "threshold-only": {"acquisition", "threshold"},
+    "matched-replay": set(),
+}
+
+
+@pytest.mark.parametrize("kind", list(STRATEGIES))
+def test_strategy_table_decides_which_configured_policies_apply(drifting_small_splits, kind):
+    def run(**policies):
+        strategy = StrategyConfig(
+            kind=kind, periodic_interval=3_000, trigger_schedule=[3_000, 6_000]
+        )
+        settings = RunSettings(strategy=strategy, seed=42, **policies)
+        return run_stream(*drifting_small_splits, settings)
+
+    default = run()
+    # a querying kind must query here, or ignoring the acquisition policy proves nothing
+    assert bool(default.trigger_events) == (STRATEGIES[kind][0] is not None)
+    other_acquisition = run(acquisition_policy="uncertainty").endpoints
+    other_threshold = run(threshold_policy="recall-constrained").endpoints
+    ignored = IGNORED_POLICIES[kind]
+    assert (other_acquisition == default.endpoints) == ("acquisition" in ignored)
+    assert (other_threshold == default.endpoints) == ("threshold" in ignored)

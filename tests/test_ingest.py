@@ -212,6 +212,14 @@ def test_split_target_below_one_is_a_data_error():
         chronological_split(_events(list("ab"), labels=[1, 1]), 0)
 
 
+def test_split_prefix_without_benign_event_is_a_data_error():
+    events = _events(list("abcde"), labels=[1, 1, 1, 0, 1])
+    with pytest.raises(DataError, match="no benign event"):
+        chronological_split(events, 2)
+    train, _ = chronological_split(events, 4)
+    assert train.labels.tolist() == [1, 1, 1, 0, 1]
+
+
 def test_split_too_few_positives_reports_count():
     events = _events(list("abc"), labels=[0, 1, 0])
     with pytest.raises(DataError, match="have 1, need 5"):
