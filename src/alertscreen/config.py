@@ -138,6 +138,12 @@ def validate_config(cfg):
         raise ConfigError("at least one strategy and one seed are required")
     if len(set(cfg.strategies)) < len(cfg.strategies) or len(set(cfg.seeds)) < len(cfg.seeds):
         raise ConfigError("run.strategies and run.seeds must not repeat a value")
+    train = cfg.settings.train
+    if train.max_trees < train.initial_rounds:
+        raise ConfigError(
+            f"train.max_trees ({train.max_trees}) is below train.initial_rounds"
+            f" ({train.initial_rounds}), the size of the initial core"
+        )
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
             try:
@@ -150,6 +156,11 @@ def validate_config(cfg):
             raise ConfigError(
                 f"{strategy} would query no labels: round(acquisition.nominal_budget_fraction"
                 f" x controller.buffer_capacity) is 0"
+            )
+        if strategy in QUERYING_KINDS and train.max_trees == train.initial_rounds:
+            raise ConfigError(
+                f"{strategy} could never update: train.max_trees equals train.initial_rounds"
+                f" ({train.max_trees})"
             )
     out = Path(cfg.out_dir).absolute()
     nearest = next(p for p in (out, *out.parents) if p.exists())

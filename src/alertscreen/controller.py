@@ -126,7 +126,7 @@ class RunSettings:
 
 @dataclass
 class RunLedger:
-    """Query/update accounting, sufficient for the budget invariants."""
+    """Query/update accounting: the budget invariants and the label counts of the endpoints."""
 
     trigger_events: list = field(default_factory=list)
     update_events: list = field(default_factory=list)
@@ -134,6 +134,9 @@ class RunLedger:
     queried_ids: list = field(default_factory=list)
     pending_before_trigger: list = field(default_factory=list)
     max_pending_after_check: int = 0
+    applied_pos: int = 0  # oracle labels applied by warm starts, per class
+    applied_neg: int = 0
+    replayed: int = 0  # replay-buffer rows mixed into warm starts
     schedule_skipped_beyond_end: int = 0
     schedule_suppressed_by_cooldown: int = 0
 
@@ -142,10 +145,13 @@ class RunLedger:
 class RunResult:
     trace: list
     endpoints: Endpoints
-    trigger_events: list
     operating_point: object
     ensemble: gbt.BoostedEnsemble
     ledger: RunLedger
+
+    @property
+    def trigger_events(self):
+        return self.ledger.trigger_events
 
 
 def run_stream(X_train, y_train, X_stream, y_stream, settings):
@@ -188,9 +194,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     cum_fp = 0
     cum_missed = 0
     cooldown = 0
-    applied_pos = 0
-    applied_neg = 0
-    replayed = 0
     trace = []
 
     for start in range(0, n, strat.batch_size):
@@ -206,9 +209,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
 
         triggered = False
         if trigger == "adwin":
-            for value in p:
-                if adwin.update(float(value)):
-                    triggered = True
+            triggered = adwin.update(p) > 0
         elif trigger == "periodic":
             crossed = end // strat.periodic_interval > start // strat.periodic_interval
             capped = (
@@ -246,13 +247,13 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
             idx = np.array(pending, dtype=np.int64)
             X_batch = X_stream[idx]
             y_batch = y_stream[idx]  # oracle labels: stream ground truth
-            applied_pos += int((y_batch == 1).sum())
-            applied_neg += int((y_batch == 0).sum())
+            ledger.applied_pos += int((y_batch == 1).sum())
+            ledger.applied_neg += int((y_batch == 0).sum())
             if replay is not None:
                 X_batch, y_batch, n_rep = mix_with_replay(
                     X_batch, y_batch, replay, strat.replay_ratio, rng
                 )
-                replayed += n_rep
+                ledger.replayed += n_rep
             result = gbt.warm_start_update(ensemble, X_batch, y_batch, objective, settings.train)
             if result.cap_reached:
                 logger.info("tree cap reached at %d trees", result.ensemble.n_trees)
@@ -306,16 +307,15 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         mean_burst_delay=stats.mean_burst_delay,
         queries=len(ledger.queried_ids),
         updates=len(ledger.update_events),
-        applied_pos=applied_pos,
-        applied_neg=applied_neg,
-        replayed_labels=replayed,
+        applied_pos=ledger.applied_pos,
+        applied_neg=ledger.applied_neg,
+        replayed_labels=ledger.replayed,
         realized_query_rate=realized_query_rate(len(ledger.queried_ids), n) if n else 0.0,
         trees=ensemble.n_trees,
     )
     return RunResult(
         trace=trace,
         endpoints=endpoints,
-        trigger_events=list(ledger.trigger_events),
         operating_point=operating_point,
         ensemble=ensemble,
         ledger=ledger,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from alertscreen.drift import AdwinDetector
+
 
 def gaussian_splits(
     seed,
@@ -32,6 +34,24 @@ def gaussian_splits(
         benign_tail = (np.arange(n_stream) >= drift_at) & (y_stream == 0)
         X_stream[benign_tail] += drift_shift
     return X_train, y_train, X_stream, y_stream
+
+
+def first_detection(values, chunk=64, **detector_kwargs):
+    """(index, detector): the first value after which the window shrank.
+
+    Finds the chunk that holds it with batched updates, then replays that
+    chunk one value at a time on a fresh detector, which is returned as of
+    the detection. (None, detector after every value) when none shrank.
+    """
+    probe = AdwinDetector(**detector_kwargs)
+    for start in range(0, len(values), chunk):
+        if probe.update(values[start : start + chunk]):
+            detector = AdwinDetector(**detector_kwargs)
+            detector.update(values[:start])
+            for i in range(start, start + chunk):
+                if detector.update(values[i]):
+                    return i, detector
+    return None, probe
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import gaussian_splits
+from conftest import first_detection, gaussian_splits
 from oracles import (
     ExhaustiveAdwin,
     focal_fd_grad_hess,
@@ -20,7 +20,6 @@ from oracles import (
 
 from alertscreen.cli import main
 from alertscreen.controller import RunSettings, StrategyConfig, run_stream
-from alertscreen.drift import AdwinDetector
 from alertscreen.ingest import prepare_dataset
 from alertscreen.metrics import (
     RollingWindow,
@@ -149,14 +148,11 @@ def test_adwin_equivalence():
             values = np.where(
                 np.arange(n) < shift_at, rng.beta(2.0, 8.0, n), rng.beta(8.0, 2.0, n)
             )
-        bucketed = AdwinDetector(delta=0.002)
+        first_b, bucketed = first_detection(values, delta=0.002)
+        granularity = max(bucketed.bucket_counts())
         exhaustive = ExhaustiveAdwin(delta=0.002)
-        first_b = first_e = None
-        granularity = 1
+        first_e = None
         for i, v in enumerate(values):
-            if bucketed.update(float(v)) and first_b is None:
-                first_b = i
-                granularity = max(bucketed.bucket_counts())
             if exhaustive.update(float(v)) and first_e is None:
                 first_e = i
         if constant:

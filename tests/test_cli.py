@@ -311,6 +311,24 @@ def test_zero_query_budget_is_a_config_error(dataset, tmp_path, capsys, strategy
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "max_trees,strategy,code",
+    [("20", "frozen", 1), ("30", "adwin-hybrid", 1), ("30", "periodic", 1), ("30", "frozen", 0)],
+)
+def test_tree_cap_must_leave_room_for_the_initial_core(
+    dataset, tmp_path, capsys, max_trees, strategy, code
+):
+    # _run_args grows a 30-tree core; a querying strategy also needs room to update
+    out = tmp_path / "out"
+    args = _run_args(dataset, out, strategy=strategy, extra=["--train.max_trees", max_trees])
+    assert main(args) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+    else:
+        assert "trees=30\n" in (out / strategy / "42" / "endpoints.txt").read_text()
+
+
 def _malformed_endpoints(root, dataset):
     (root / "out" / "frozen" / "42").mkdir(parents=True)
     (root / "out" / "frozen" / "42" / "endpoints.txt").write_text("stream_events=12\nqueries\n")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from conftest import gaussian_splits
-from oracles import pure_prediction_trace
+from oracles import SequentialAdwin, pure_prediction_trace
 
 from alertscreen.controller import STRATEGIES, RunSettings, StrategyConfig, run_stream
+from alertscreen.drift import AdwinDetector
 from alertscreen.metrics import trace_to_csv
 
 
@@ -288,3 +289,23 @@ def test_strategy_table_decides_which_configured_policies_apply(drifting_small_s
     ignored = IGNORED_POLICIES[kind]
     assert (other_acquisition == default.endpoints) == ("acquisition" in ignored)
     assert (other_threshold == default.endpoints) == ("threshold" in ignored)
+
+
+def test_adwin_checks_each_batch_in_one_call(drifting_small_splits, monkeypatch):
+    calls = []  # (scores passed, shrink count returned)
+    update = AdwinDetector.update
+
+    def recording_update(self, values):
+        shrank = update(self, values)
+        calls.append((np.array(values), shrank))
+        return shrank
+
+    monkeypatch.setattr(AdwinDetector, "update", recording_update)
+    settings = _settings("adwin-hybrid")
+    result = run_stream(*drifting_small_splits, settings)
+    ends = [row.batch_end_index for row in result.trace]
+    assert [scores.size for scores, _ in calls] == list(np.diff([0] + ends))
+    reference = SequentialAdwin(settings.adwin_delta)
+    expected = sum(reference.update(float(v)) for scores, _ in calls for v in scores)
+    assert sum(shrank for _, shrank in calls) == expected > 0
+    assert result.trigger_events

@@ -1,19 +1,23 @@
+import copy
+import functools
+
 import numpy as np
 import pytest
-from oracles import ExhaustiveAdwin
+from conftest import first_detection
+from oracles import ExhaustiveAdwin, SequentialAdwin
 
 from alertscreen.drift import AdwinDetector
 
 
 def test_constant_stream_never_triggers():
     det = AdwinDetector(delta=0.002)
-    assert not any(det.update(0.3) for _ in range(10_000))
+    assert det.update(np.full(10_000, 0.3)) == 0
     assert det.width == 10_000
 
 
 def test_alternating_stream_never_triggers():
     det = AdwinDetector(delta=0.002)
-    assert not any(det.update(float(i % 2)) for i in range(4_000))
+    assert det.update(np.arange(4_000) % 2.0) == 0
 
 
 def test_abrupt_shift_detected_promptly_and_window_drops_old_data():
@@ -24,12 +28,9 @@ def test_abrupt_shift_detected_promptly_and_window_drops_old_data():
             np.clip(rng.normal(0.9, 0.03, 1_000), 0, 1),
         ]
     )
-    det = AdwinDetector(delta=0.002)
-    first = None
-    for i, v in enumerate(values):
-        if det.update(float(v)) and first is None:
-            first = i
+    first, det = first_detection(values, delta=0.002)
     assert first is not None and 1_000 <= first < 1_200
+    det.update(values[first + 1 :])
     # retained window is dominated by post-shift data
     assert det.mean > 0.8
     assert det.width <= 1_100
@@ -45,19 +46,30 @@ def test_input_domain_enforced():
         AdwinDetector(delta=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, float("inf")])
+def test_bad_value_in_a_batch_raises_and_leaves_the_detector_unchanged(bad):
+    det = AdwinDetector(delta=0.002)
+    det.update(np.linspace(0.0, 1.0, 300))
+    before = copy.deepcopy((det.rows, det.total_count, det.total_sum))
+    batch = np.full(50, 0.5)
+    batch[30] = bad
+    with pytest.raises(ValueError):
+        det.update(batch)
+    assert (det.rows, det.total_count, det.total_sum) == before
+
+
 def test_width_always_equals_bucket_count_sum():
     rng = np.random.default_rng(5)
     det = AdwinDetector(delta=0.002)
-    for i in range(3_000):
-        det.update(float(rng.random()))
-        if i % 257 == 0:
-            assert det.width == sum(det.bucket_counts())
+    values = rng.random(3_000)
+    for start in range(0, values.size, 257):
+        det.update(values[start : start + 257])
+        assert det.width == sum(det.bucket_counts())
 
 
 def test_memory_stays_logarithmic_in_window_width():
     det = AdwinDetector(delta=0.002)
-    for _ in range(50_000):
-        det.update(0.5)
+    det.update(np.full(50_000, 0.5))
     assert det.width == 50_000
     bound = det.max_buckets_per_row * (np.log2(det.width) + 2)
     assert len(det.bucket_counts()) <= bound
@@ -67,11 +79,10 @@ def test_aggregates_exactly_consistent_after_detection():
     # dyadic values keep float sums exact, so the consistency check is exact
     rng = np.random.default_rng(31)
     det = AdwinDetector(delta=0.002)
+    values = np.where(np.arange(4_000) < 2_000, 0.125, 0.875) + rng.integers(0, 8, 4_000) / 64.0
     detected = False
-    for i in range(4_000):
-        base = 0.125 if i < 2_000 else 0.875
-        value = base + float(rng.integers(0, 8)) / 64.0
-        if det.update(value):
+    for start in range(0, values.size, 50):
+        if det.update(values[start : start + 50]):
             detected = True
             count, total = det.recount()
             assert count == det.width
@@ -89,14 +100,11 @@ def test_bucketed_matches_exhaustive_reference_on_short_streams():
         values = np.where(
             np.arange(n) < shift_at, rng.beta(2.0, 8.0, n), rng.beta(8.0, 2.0, n)
         )
-        bucketed = AdwinDetector(delta=0.002)
+        first_b, bucketed = first_detection(values, delta=0.002)
+        granularity = max(bucketed.bucket_counts())
         exhaustive = ExhaustiveAdwin(delta=0.002)
-        first_b = first_e = None
-        granularity = 1
+        first_e = None
         for i, v in enumerate(values):
-            if bucketed.update(float(v)) and first_b is None:
-                first_b = i
-                granularity = max(bucketed.bucket_counts())
             if exhaustive.update(float(v)) and first_e is None:
                 first_e = i
         assert first_b is not None and first_e is not None
@@ -114,6 +122,45 @@ def test_false_alarm_rate_stationary_bernoulli():
         rng = np.random.default_rng(9_000 + seed)
         values = rng.integers(0, 2, 100_000).astype(float)
         det = AdwinDetector(delta=0.002)
-        alarms = sum(det.update(float(v)) for v in values)
-        total_alarms += alarms
+        # 1,000-value calls, as the controller makes: same alarms as single values
+        total_alarms += sum(det.update(values[i : i + 1_000]) for i in range(0, 100_000, 1_000))
     assert total_alarms / 20 <= 2.0
+
+
+def _piecewise_stream(kind, n=1_100, segment=100, seed=0):
+    # the level alternates low/high every segment, so every delta detects
+    rng = np.random.default_rng(seed)
+    segments = np.arange(n) // segment
+    level = np.where(segments % 2, 0.8, 0.2) + rng.uniform(-0.05, 0.05, segments[-1] + 1)[segments]
+    if kind == "bernoulli":
+        return (rng.random(n) < level).astype(np.float64)
+    noisy = np.clip(rng.normal(level, 0.2), 0.0, 1.0)
+    return noisy if kind == "clipped-normal" else np.round(noisy, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_run(kind, max_buckets, delta, n):
+    values = _piecewise_stream(kind, seed=max_buckets)[:n]
+    reference = SequentialAdwin(delta, max_buckets)
+    shrank = [reference.update(float(v)) for v in values]
+    return values, shrank, reference
+
+
+# Calls of one or two values cost a whole array pass each: they run on a
+# prefix holding the first three segments.
+@pytest.mark.parametrize("call_size", [1, 2, 7, 1_000, None])
+@pytest.mark.parametrize("kind", ["bernoulli", "clipped-normal", "rounded"])
+@pytest.mark.parametrize("delta", [0.002, 0.05, 0.3])
+@pytest.mark.parametrize("max_buckets", range(1, 7))
+def test_batched_update_equals_sequential_insertion(max_buckets, delta, kind, call_size):
+    # M = 1 leaves row 0 (and other middle rows) empty under older rows
+    n = 300 if call_size in (1, 2) else 1_100
+    values, shrank, reference = _sequential_run(kind, max_buckets, delta, n)
+    size = call_size or n
+    det = AdwinDetector(delta, max_buckets)
+    for start in range(0, n, size):
+        assert det.update(values[start : start + size]) == sum(shrank[start : start + size])
+    assert sum(shrank) > 0
+    assert det.rows == reference.rows
+    assert det.total_count == reference.total_count
+    assert det.total_sum == reference.total_sum
