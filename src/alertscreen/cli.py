@@ -11,7 +11,7 @@ import logging
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import (
@@ -27,7 +27,7 @@ from .config import (
 from .controller import STRATEGIES, run_stream
 from .ingest import DataError, prepare_dataset
 from .metrics import Endpoints, bayes_projection, multiseed_summary, trace_to_csv
-from .schema import format_value
+from .schema import write_pairs
 from .synth import DriftPoint, SyntheticStreamSpec, write_dataset
 
 logger = logging.getLogger(__name__)
@@ -135,12 +135,10 @@ def _write_run_dir(run_dir, cfg, strategy, seed, result):
 
 
 def _summary_text(endpoint_maps):
-    summary = multiseed_summary(endpoint_maps)
-    lines = [f"seeds={len(endpoint_maps)}"]
-    for key, (median, iqr) in summary.items():
-        lines.append(f"{key}.median={format_value(median)}")
-        lines.append(f"{key}.iqr={format_value(iqr)}")
-    return "\n".join(lines) + "\n"
+    pairs = [("seeds", len(endpoint_maps))]
+    for key, (median, iqr) in multiseed_summary(endpoint_maps).items():
+        pairs += [(f"{key}.median", median), (f"{key}.iqr", iqr)]
+    return write_pairs(pairs)
 
 
 def cmd_run(args):
@@ -175,7 +173,7 @@ def cmd_run(args):
                 _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
             except OSError as exc:
                 raise ConfigError(f"cannot write under run.out: {exc}") from exc
-            endpoint_maps.append(result.endpoints.as_map())
+            endpoint_maps.append(asdict(result.endpoints))
             print(
                 f"{strategy} seed={seed}: fp/1M-benign="
                 f"{_round_or_empty(result.endpoints.fp_per_million_benign)} "
@@ -269,7 +267,7 @@ def cmd_summarize(args):
                 endpoints = Endpoints.from_text(endpoint_file.read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
                 raise DataError(f"unreadable or malformed {endpoint_file}: {exc}") from exc
-            endpoint_maps.append(endpoints.as_map())
+            endpoint_maps.append(asdict(endpoints))
         if not endpoint_maps:
             raise DataError(f"no endpoint files under {strat_dir}")
         text = _summary_text(endpoint_maps)

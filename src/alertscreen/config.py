@@ -18,7 +18,7 @@ from pathlib import Path
 from .controller import QUERYING_KINDS, STRATEGIES, RunSettings
 from .gbt import TrainConfig
 from .objectives import Objective
-from .schema import check_fields, format_value, interval, parse_value
+from .schema import check_fields, interval, parse_value, read_pairs, write_pairs
 
 
 class ConfigError(Exception):
@@ -99,34 +99,31 @@ def set_key(cfg, key, text):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def parse_config_text(text, base=None):
-    cfg = base if base is not None else RunConfig()
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {line_num}: expected key=value, got {line!r}")
+def parse_config_text(text):
+    cfg = RunConfig()
+    try:
+        pairs = read_pairs(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for line_num, key, value in pairs:
         try:
-            cfg = set_key(cfg, key.strip(), value)
+            cfg = set_key(cfg, key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {line_num}: {exc}") from exc
     return cfg
 
 
-def load_config(path, base=None):
+def load_config(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), base)
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse_config_text(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
 
 def serialize_config(cfg):
-    return "".join(
-        f"{key}={format_value(reduce(getattr, path.split('.'), cfg))}\n"
-        for key, path in CONFIG_KEYS.items()
+    return write_pairs(
+        (key, reduce(getattr, path.split("."), cfg)) for key, path in CONFIG_KEYS.items()
     )
 
 

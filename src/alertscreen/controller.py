@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gbt
-from .acquisition import POLICIES, ReplayBuffer, mix_with_replay, select_query_batch
+from .acquisition import POLICIES, select_query_batch
 from .drift import AdwinDetector
 from .metrics import (
     DELAY_MODES,
@@ -50,7 +50,6 @@ STRATEGIES = {
     "threshold-only": (None, None, "recall-constrained"),
     "matched-replay": ("schedule", None, None),
 }
-STRATEGY_KINDS = tuple(STRATEGIES)
 QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if trigger)
 
 
@@ -71,7 +70,7 @@ class StrategyConfig:
     def __post_init__(self):
         check_fields(
             self,
-            kind=one_of(STRATEGY_KINDS),
+            kind=one_of(STRATEGIES),
             periodic_interval=interval("[1, inf)"),
             cooldown_events=interval("[0, inf)"),
             b_min=interval("[1, inf)"),
@@ -136,7 +135,7 @@ class RunLedger:
     max_pending_after_check: int = 0
     applied_pos: int = 0  # oracle labels applied by warm starts, per class
     applied_neg: int = 0
-    replayed: int = 0  # replay-buffer rows mixed into warm starts
+    replayed: int = 0  # replayed rows mixed into warm starts
     schedule_skipped_beyond_end: int = 0
     schedule_suppressed_by_cooldown: int = 0
 
@@ -183,7 +182,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     schedule = set(strat.trigger_schedule or []) if trigger == "schedule" else set()
 
     pending = []  # stream indices with oracle labels outstanding for the next update
-    replay = ReplayBuffer(strat.replay_capacity) if strat.replay_enabled else None
+    replay = []  # the replay_capacity most recently applied stream indices, oldest first
     window = RollingWindow(settings.rolling_window)
     ledger = RunLedger()
 
@@ -245,16 +244,21 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         update_fired = 0
         if len(pending) >= strat.b_min:
             idx = np.array(pending, dtype=np.int64)
-            X_batch = X_stream[idx]
-            y_batch = y_stream[idx]  # oracle labels: stream ground truth
-            ledger.applied_pos += int((y_batch == 1).sum())
-            ledger.applied_neg += int((y_batch == 0).sum())
-            if replay is not None:
-                X_batch, y_batch, n_rep = mix_with_replay(
-                    X_batch, y_batch, replay, strat.replay_ratio, rng
-                )
-                ledger.replayed += n_rep
-            result = gbt.warm_start_update(ensemble, X_batch, y_batch, objective, settings.train)
+            y_queried = y_stream[idx]  # oracle labels: stream ground truth
+            ledger.applied_pos += int((y_queried == 1).sum())
+            ledger.applied_neg += int((y_queried == 0).sum())
+            if strat.replay_enabled:
+                # a uniform sample without replacement, drawn before this batch joins
+                k = min(round(strat.replay_ratio * len(pending)), len(replay))
+                if k > 0:
+                    picked = rng.choice(len(replay), size=k, replace=False)
+                    idx = np.concatenate([idx, np.array(replay, dtype=np.int64)[picked]])
+                    ledger.replayed += k
+                replay.extend(pending)
+                del replay[: max(len(replay) - strat.replay_capacity, 0)]
+            result = gbt.warm_start_update(
+                ensemble, X_stream[idx], y_stream[idx], objective, settings.train
+            )
             if result.cap_reached:
                 logger.info("tree cap reached at %d trees", result.ensemble.n_trees)
             ensemble = result.ensemble  # hot-swap; effective from the next batch

@@ -270,20 +270,18 @@ def _boost(ensemble, X, y, objective, config, rounds):
         margin += ensemble.learning_rate * tree.apply(X)
 
 
-def train_initial(X, y, objective, config, seed=42, rng=None):
+def train_initial(X, y, objective, config, rng):
     """Train the frozen core: exactly config.initial_rounds trees.
 
-    base_score is the log-odds of training prevalence. Deterministic for a
-    fixed seed; pass an existing generator to share the draw stream with a
-    surrounding run.
+    base_score is the log-odds of training prevalence. Row and column
+    sampling draw from ``rng``, which the ensemble keeps for its warm
+    starts, so a run's draws form one stream.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n_pos = int((y == 1).sum())
     if n_pos == 0 or n_pos == y.size:
         raise ValueError("training data must contain both classes")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     prevalence = n_pos / y.size
     ensemble = BoostedEnsemble(
         trees=[],

@@ -12,12 +12,12 @@ only.
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .schema import format_value, parse_value
+from .schema import decode_fields, read_pairs, write_pairs
 
 # Column names dropped outright (label/timestamp/split metadata and known
 # post-decision attributes), and case-insensitive substrings that disqualify
@@ -131,31 +131,20 @@ def parse_timestamp(value):
 
 
 def load_manifest(path):
-    keys = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                keys[key.strip()] = value
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as fh:
+            pairs = read_pairs(fh.read())
+    except (OSError, ValueError) as exc:  # a decode error is a ValueError
         raise DataError(f"cannot read manifest: {exc}") from exc
-    for required in ("label_column", "timestamp_column"):
-        if required not in keys:
-            raise DataError(f"manifest missing key: {required}")
-    given = [f for f in fields(DatasetManifest) if f.name in keys]
     try:
-        return DatasetManifest(**{f.name: parse_value(keys[f.name], f.type) for f in given})
+        return decode_fields(DatasetManifest, {key: value for _, key, value in pairs})
     except ValueError as exc:
         raise DataError(f"bad manifest value: {exc}") from exc
 
 
 def save_manifest(manifest, path):
-    lines = [f"{f.name}={format_value(getattr(manifest, f.name))}\n" for f in fields(manifest)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.write(write_pairs(asdict(manifest).items()))
 
 
 def _parse_number(cell):
@@ -180,16 +169,19 @@ def load_events(csv_path, manifest):
     for it and the dataset does not already carry the column.
     """
     try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"empty dataset: {csv_path}") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset: {exc}") from exc
 
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise DataError(f"dataset header repeats column(s): {', '.join(map(repr, repeated))}")
     for col in (manifest.label_column, manifest.timestamp_column):
         if col not in header:
             raise DataError(f"dataset missing declared column: {col!r}")
@@ -304,10 +296,6 @@ class Preprocessor:
         return X
 
 
-def fit_preprocessor(train, categorical_columns, numeric_columns):
-    return Preprocessor(categorical_columns, numeric_columns).fit(train)
-
-
 def chronological_split(table, train_positive_target):
     """Smallest chronological prefix holding exactly the positive target.
 
@@ -346,5 +334,5 @@ def prepare_dataset(csv_path, manifest_path, train_positive_target):
         raise DataError("dataset contains no events")
     categorical, numeric = resolve_feature_columns(table, manifest)
     train, stream = chronological_split(table, train_positive_target)
-    pre = fit_preprocessor(train, categorical, numeric)
+    pre = Preprocessor(categorical, numeric).fit(train)
     return PreparedData(pre.transform(train), train.labels, pre.transform(stream), stream.labels)

@@ -8,11 +8,11 @@ reported number can be recomputed offline from the persisted trace.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .schema import format_value, parse_value
+from .schema import decode_fields, format_value, read_pairs, write_pairs
 
 DELAY_MODES = ("positives", "events")
 
@@ -40,21 +40,17 @@ class RollingWindow:
         return tp, fp, tn, fn
 
     def metrics(self):
-        return rolling_metrics(self)
-
-
-def rolling_metrics(window):
-    """{f1, precision, recall, fpr} with None for undefined entries."""
-    tp, fp, tn, fn = window.counts()
-    out = {"f1": None, "precision": None, "recall": None, "fpr": None}
-    if tp + fn > 0:
-        out["recall"] = tp / (tp + fn)
-        out["f1"] = 2.0 * tp / (2.0 * tp + fp + fn)
-    if tp + fp > 0:
-        out["precision"] = tp / (tp + fp)
-    if fp + tn > 0:
-        out["fpr"] = fp / (fp + tn)
-    return out
+        """{f1, precision, recall, fpr} with None for undefined entries."""
+        tp, fp, tn, fn = self.counts()
+        out = {"f1": None, "precision": None, "recall": None, "fpr": None}
+        if tp + fn > 0:
+            out["recall"] = tp / (tp + fn)
+            out["f1"] = 2.0 * tp / (2.0 * tp + fp + fn)
+        if tp + fp > 0:
+            out["precision"] = tp / (tp + fp)
+        if fp + tn > 0:
+            out["fpr"] = fp / (fp + tn)
+        return out
 
 
 def positive_window_recall(recalls):
@@ -215,14 +211,6 @@ class TraceRow:
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
-def _decode(cls, raw):
-    """Instance of dataclass ``cls`` from its fields' text values."""
-    missing = [f.name for f in fields(cls) if f.name not in raw]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    return cls(**{f.name: parse_value(raw[f.name], f.type) for f in fields(cls)})
-
-
 def trace_to_csv(rows):
     lines = [",".join(TRACE_COLUMNS)]
     for row in rows:
@@ -234,7 +222,8 @@ def trace_from_csv(text):
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError("unrecognized trace header")
-    return [_decode(TraceRow, dict(zip(TRACE_COLUMNS, line.split(",")))) for line in lines[1:]]
+    rows = [dict(zip(TRACE_COLUMNS, line.split(","))) for line in lines[1:]]
+    return [decode_fields(TraceRow, row) for row in rows]
 
 
 @dataclass
@@ -261,12 +250,8 @@ class Endpoints:
     trees: int
 
     def to_text(self):
-        return "".join(f"{f.name}={format_value(getattr(self, f.name))}\n" for f in fields(self))
+        return write_pairs(asdict(self).items())
 
     @classmethod
     def from_text(cls, text):
-        raw = dict(line.split("=", 1) for line in text.splitlines() if line.strip())
-        return _decode(cls, raw)
-
-    def as_map(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return decode_fields(cls, {key: value for _, key, value in read_pairs(text)})

@@ -5,10 +5,12 @@ says how it is written and read: ``None`` as an empty string, booleans as
 ``true``/``false``, floats by ``repr`` (exact round trip), lists as comma
 separated items. ``config.txt``, the dataset manifest, ``trace.csv``,
 ``endpoints.txt`` and the multi-seed summary all go through
-``format_value`` and ``parse_value``.
+``format_value`` and ``parse_value``, and every ``key=value`` file goes
+through ``read_pairs`` and ``write_pairs``.
 """
 
 import typing
+from dataclasses import MISSING, fields
 
 
 def interval(text):
@@ -65,3 +67,43 @@ def parse_value(text, kind):
             return False
         raise ValueError(f"not a boolean: {text!r}")
     return kind(text)
+
+
+def decode_fields(cls, raw):
+    """Instance of dataclass ``cls`` from {field name: text}; a key that names no
+    field, or a field without a default that has no key, is a ValueError."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = [key for key in raw if key not in kinds]
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    return cls(**{key: parse_value(text, kinds[key]) for key, text in raw.items()})
+
+
+def read_pairs(text):
+    """``(line number, key, value)`` of every ``key=value`` line of ``text``.
+
+    Lines are stripped; blank lines and ``#`` comments are skipped, and any
+    other line without ``=`` is a ValueError.
+    """
+    pairs = []
+    for line_num, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {line_num}: expected key=value, got {line!r}")
+        pairs.append((line_num, key.strip(), value))
+    return pairs
+
+
+def write_pairs(pairs):
+    """``key=value`` lines of ``(key, value)`` pairs, each value by ``format_value``."""
+    return "".join(f"{key}={format_value(value)}\n" for key, value in pairs)

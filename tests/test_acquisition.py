@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from oracles import oracle_select
 
-from alertscreen.acquisition import (
-    ReplayBuffer,
-    mix_with_replay,
-    select_query_batch,
-)
+from alertscreen.acquisition import select_query_batch
 
 
 def test_hybrid_spec_example_split_budget():
     scores = np.array([0.05, 0.50, 0.55, 0.95])
     batch = select_query_batch(scores, 0.5, 2, "hybrid", np.random.default_rng(0))
     assert batch.indices == [1, 3]
-    assert not batch.short
 
 
 def test_hybrid_tie_break_and_dedup():
@@ -27,11 +22,10 @@ def test_zero_budget_gives_empty_batch():
     assert batch.indices == []
 
 
-def test_budget_beyond_buffer_returns_whole_buffer_flagged_short():
+def test_budget_beyond_buffer_returns_whole_buffer():
     scores = np.array([0.2, 0.4, 0.6])
     batch = select_query_batch(scores, 0.5, 5, "uncertainty", np.random.default_rng(0))
     assert batch.indices == [0, 1, 2]
-    assert batch.short
 
 
 @pytest.mark.parametrize("policy", ["uncertainty", "high-score", "hybrid"])
@@ -94,38 +88,3 @@ def test_unknown_policy_and_negative_budget_rejected():
         select_query_batch(np.array([0.5]), 0.5, 1, "entropy", np.random.default_rng(0))
     with pytest.raises(ValueError):
         select_query_batch(np.array([0.5]), 0.5, -1, "random", np.random.default_rng(0))
-
-
-def test_replay_ratio_zero_returns_queried_batch_only():
-    buf = ReplayBuffer(capacity=512)
-    buf.extend(np.ones((8, 2)), np.ones(8, dtype=int))
-    Xq = np.zeros((4, 2))
-    yq = np.zeros(4, dtype=int)
-    X, y, n_rep = mix_with_replay(Xq, yq, buf, 0.0, np.random.default_rng(0))
-    assert n_rep == 0 and y.size == 4 and np.all(y == 0)
-
-
-def test_replay_mix_size_arithmetic():
-    buf = ReplayBuffer(capacity=512)
-    buf.extend(np.ones((512, 3)), np.ones(512, dtype=int))
-    Xq = np.zeros((32, 3))
-    yq = np.zeros(32, dtype=int)
-    X, y, n_rep = mix_with_replay(Xq, yq, buf, 0.5, np.random.default_rng(1))
-    assert n_rep == 16
-    assert y.size == 48 and X.shape == (48, 3)
-
-
-def test_empty_replay_buffer_is_not_an_error():
-    buf = ReplayBuffer(capacity=512)
-    Xq = np.zeros((5, 2))
-    yq = np.zeros(5, dtype=int)
-    X, y, n_rep = mix_with_replay(Xq, yq, buf, 0.5, np.random.default_rng(2))
-    assert n_rep == 0 and y.size == 5
-    assert len(buf) == 5  # batch entered the buffer afterwards
-
-
-def test_replay_buffer_evicts_oldest_beyond_capacity():
-    buf = ReplayBuffer(capacity=4)
-    buf.extend(np.arange(12, dtype=float).reshape(6, 2), np.arange(6) % 2)
-    assert len(buf) == 4
-    assert buf.features[0][0] == 4.0  # first two examples evicted

@@ -439,3 +439,63 @@ def test_schedule_entries_must_be_batch_ends(dataset, tmp_path, capsys, entries,
         assert not out.exists()
     else:
         assert (out / "matched-replay" / "42" / "triggers.txt").read_text() == "1000\n3000\n"
+
+
+# (dataset text, manifest text) -> the bytes of (dataset, manifest, --config or None)
+BAD_INPUTS = {
+    "dataset-not-utf8": (
+        lambda c, m: (c.encode("utf-16"), m.encode(), None), 2, "cannot read dataset"
+    ),
+    "manifest-not-utf8": (
+        lambda c, m: (c.encode(), m.encode("utf-16"), None), 2, "cannot read manifest"
+    ),
+    "config-not-utf8": (
+        lambda c, m: (c.encode(), m.encode(), "seed=1\n".encode("utf-16")), 1, "cannot read config"
+    ),
+    "repeated-header": (
+        lambda c, m: (c.replace("feat_1", "feat_0", 1).encode(), m.encode(), None), 2, "'feat_0'"
+    ),
+    "manifest-key-typo": (
+        lambda c, m: (c.encode(), m.replace("numeric=", "numerc=").encode(), None), 2, "numerc"
+    ),
+    "manifest-line-without-equals": (
+        lambda c, m: (c.encode(), (m + "derive_time_since\n").encode(), None),
+        2,
+        "expected key=value",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_file_ends_with_a_message(dataset, tmp_path, capsys, case):
+    make, code, detail = BAD_INPUTS[case]
+    csv_bytes, manifest_bytes, config_bytes = make(
+        dataset[0].read_text(encoding="utf-8"), dataset[1].read_text(encoding="utf-8")
+    )
+    csv_path, manifest_path = tmp_path / "s.csv", tmp_path / "s.manifest"
+    csv_path.write_bytes(csv_bytes)
+    manifest_path.write_bytes(manifest_bytes)
+    args = _run_args((csv_path, manifest_path), tmp_path / "out")
+    if config_bytes is not None:
+        (tmp_path / "c.cfg").write_bytes(config_bytes)
+        args += ["--config", str(tmp_path / "c.cfg")]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == 1 else "data error: "
+    assert err.startswith(prefix) and detail in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_byte_order_marks_are_ignored(dataset, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    csv_path, manifest_path = tmp_path / "s.csv", tmp_path / "s.manifest"
+    csv_path.write_bytes(bom + dataset[0].read_bytes())
+    manifest_path.write_bytes(bom + dataset[1].read_bytes())
+    (tmp_path / "c.cfg").write_bytes(bom + b"controller.batch_size=500\n")
+    flags = ["--config", str(tmp_path / "c.cfg")]
+    assert main(_run_args((csv_path, manifest_path), tmp_path / "bom", extra=flags)) == 0
+    plain = ["--controller.batch_size", "500"]
+    assert main(_run_args(dataset, tmp_path / "plain", extra=plain)) == 0
+    for name in ("trace.csv", "endpoints.txt"):
+        with_bom = (tmp_path / "bom" / "frozen" / "42" / name).read_bytes()
+        assert with_bom == (tmp_path / "plain" / "frozen" / "42" / name).read_bytes()

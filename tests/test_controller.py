@@ -3,6 +3,7 @@ import pytest
 from conftest import gaussian_splits
 from oracles import SequentialAdwin, pure_prediction_trace
 
+from alertscreen import gbt
 from alertscreen.controller import STRATEGIES, RunSettings, StrategyConfig, run_stream
 from alertscreen.drift import AdwinDetector
 from alertscreen.metrics import trace_to_csv
@@ -192,22 +193,51 @@ def test_partial_final_batch_processed():
     assert len(result.trace) == 5
 
 
-def test_replay_variant_reports_replayed_labels():
+@pytest.mark.parametrize(
+    "ratio, capacity, replayed",
+    [
+        (0.5, 512, [0, 25, 25]),  # round(ratio x 50 queried); the first update finds none
+        (0.0, 512, [0, 0, 0]),
+        (1.0, 512, [0, 50, 50]),
+        (1.0, 40, [0, 40, 40]),  # the sample is capped at what the capacity keeps
+        (1.0, 0, [0, 0, 0]),
+    ],
+    ids=["ratio-0.5", "ratio-0", "ratio-1", "capacity-40", "capacity-0"],
+)
+def test_replay_variant_reports_replayed_labels(monkeypatch, ratio, capacity, replayed):
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=13, n_stream=16_000)
+    batches = []
+    warm_start = gbt.warm_start_update
+
+    def recording_warm_start(ensemble, X, y, objective, config):
+        batches.append(X)
+        return warm_start(ensemble, X, y, objective, config)
+
+    monkeypatch.setattr(gbt, "warm_start_update", recording_warm_start)
     settings = RunSettings(
         strategy=StrategyConfig(
             kind="matched-replay",
             trigger_schedule=[4_000, 8_000, 12_000],
             replay_enabled=True,
+            replay_capacity=capacity,
+            replay_ratio=ratio,
         ),
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.endpoints.updates == 3
-    # first update has an empty buffer behind it; later ones mix in history
-    assert result.endpoints.replayed_labels == 0 + 25 + 25
+    assert result.endpoints.replayed_labels == sum(replayed)
     applied = result.endpoints.applied_pos + result.endpoints.applied_neg
     assert applied == result.endpoints.queries == 150
+    ids = result.ledger.queried_ids
+    for u, (X, n_rep) in enumerate(zip(batches, replayed)):
+        assert X.shape[0] == 50 + n_rep
+        assert np.array_equal(X[:50], X_stream[ids[50 * u : 50 * (u + 1)]])
+        # replayed rows: distinct, and only from the most recent ``capacity`` earlier queries
+        kept = X_stream[ids[max(50 * u - capacity, 0) : 50 * u]]
+        rows = X[50:]
+        assert (rows[:, None, :] == kept[None, :, :]).all(axis=2).any(axis=1).all()
+        assert np.unique(rows, axis=0).shape[0] == n_rep
 
 
 def test_matched_replay_reproduces_recorded_schedule():

@@ -67,7 +67,8 @@ def test_adding_positive_leaf_tree_increases_every_probability():
     y = rng.integers(0, 2, 50)
     y[:5] = 1
     y[5:10] = 0
-    ens = train_initial(X, y, Objective(kind="plain-logistic"), TrainConfig(initial_rounds=10), seed=1)
+    rng = np.random.default_rng(1)
+    ens = train_initial(X, y, Objective(kind="plain-logistic"), TrainConfig(initial_rounds=10), rng)
     before = ens.predict_proba(X)
     ens.trees.append(_leaf_tree(0.5))
     after = ens.predict_proba(X)
@@ -82,7 +83,7 @@ def test_predictions_strictly_inside_unit_interval():
 
 def test_prediction_invariant_to_tree_order():
     X, y = _separable_data(seed=2)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=20), seed=3)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=20), np.random.default_rng(3))
     p = ens.predict_proba(X)
     rng = np.random.default_rng(0)
     shuffled = list(ens.trees)
@@ -99,7 +100,7 @@ def test_width_mismatch_raises():
 
 def test_separable_training_reaches_full_accuracy():
     X, y = _separable_data()
-    ens = train_initial(X, y, Objective(), TrainConfig(), seed=42)
+    ens = train_initial(X, y, Objective(), TrainConfig(), np.random.default_rng(42))
     assert ens.n_trees == 100
     acc = ((ens.predict_proba(X) >= 0.5).astype(int) == y).mean()
     assert acc == 1.0
@@ -109,7 +110,7 @@ def test_first_tree_splits_on_the_label_feature():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(300, 3))
     y = (X[:, 1] > 0.0).astype(np.int64)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=5), seed=0)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=5), np.random.default_rng(0))
     assert ens.trees[0].feature[0] == 1
 
 
@@ -145,8 +146,8 @@ def test_histogram_split_matches_brute_force():
 def test_training_is_deterministic_per_seed():
     X, y = _separable_data(seed=4)
     cfg = TrainConfig(initial_rounds=30)
-    a = train_initial(X, y, Objective(), cfg, seed=42)
-    b = train_initial(X, y, Objective(), cfg, seed=42)
+    a = train_initial(X, y, Objective(), cfg, np.random.default_rng(42))
+    b = train_initial(X, y, Objective(), cfg, np.random.default_rng(42))
     assert a.n_trees == b.n_trees and a.base_score == b.base_score
     assert all(np.array_equal(ea, eb) for ea, eb in zip(a.bin_edges, b.bin_edges))
     assert all(_same_tree(ta, tb) for ta, tb in zip(a.trees, b.trees))
@@ -154,15 +155,16 @@ def test_training_is_deterministic_per_seed():
 
 def test_single_class_training_rejected():
     X = np.zeros((10, 2))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        train_initial(X, np.zeros(10, dtype=int), Objective(), TrainConfig())
+        train_initial(X, np.zeros(10, dtype=int), Objective(), TrainConfig(), rng)
     with pytest.raises(ValueError):
-        train_initial(X, np.ones(10, dtype=int), Objective(), TrainConfig())
+        train_initial(X, np.ones(10, dtype=int), Objective(), TrainConfig(), rng)
 
 
 def test_warm_start_preserves_tree_prefix():
     X, y = _separable_data(seed=8)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), seed=5)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), np.random.default_rng(5))
     before = [Tree(*(getattr(t, name).copy() for name in TREE_ARRAYS)) for t in ens.trees]
     result = warm_start_update(ens, X, y, Objective(), TrainConfig(rounds_per_update=10))
     after = result.ensemble
@@ -176,7 +178,7 @@ def test_warm_start_preserves_tree_prefix():
 def test_warm_start_loss_non_increasing_on_same_batch():
     X, y = _separable_data(seed=10)
     obj = Objective()
-    ens = train_initial(X, y, obj, TrainConfig(initial_rounds=20), seed=6)
+    ens = train_initial(X, y, obj, TrainConfig(initial_rounds=20), np.random.default_rng(6))
     from alertscreen.objectives import loss
 
     cfg = TrainConfig(rounds_per_update=1)
@@ -191,12 +193,12 @@ def test_warm_start_loss_non_increasing_on_same_batch():
 def test_warm_start_cap_arithmetic():
     X, y = _separable_data(seed=12)
     cfg = TrainConfig(initial_rounds=5, rounds_per_update=10, max_trees=15)
-    ens = train_initial(X, y, Objective(), cfg, seed=7)
+    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(7))
     grown = warm_start_update(ens, X, y, Objective(), cfg)
     assert grown.ensemble.n_trees == 15 and grown.appended == 10 and grown.cap_reached
 
     cfg_cap = TrainConfig(initial_rounds=12, rounds_per_update=10, max_trees=15)
-    ens = train_initial(X, y, Objective(), cfg_cap, seed=7)
+    ens = train_initial(X, y, Objective(), cfg_cap, np.random.default_rng(7))
     partial = warm_start_update(ens, X, y, Objective(), cfg_cap)
     assert partial.ensemble.n_trees == 15 and partial.appended == 3 and partial.cap_reached
     noop = warm_start_update(partial.ensemble, X, y, Objective(), cfg_cap)
@@ -206,7 +208,7 @@ def test_warm_start_cap_arithmetic():
 
 def test_warm_start_on_all_negative_batch_pushes_scores_down():
     X, y = _separable_data(seed=14)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=20), seed=8)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=20), np.random.default_rng(8))
     rng = np.random.default_rng(2)
     X_neg = rng.uniform(-1.0, 0.0, size=(64, 2))
     y_neg = np.zeros(64, dtype=np.int64)
@@ -217,7 +219,7 @@ def test_warm_start_on_all_negative_batch_pushes_scores_down():
 
 def test_warm_start_rejects_empty_batch():
     X, y = _separable_data(seed=15)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=5), seed=9)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=5), np.random.default_rng(9))
     with pytest.raises(ValueError):
         warm_start_update(ens, np.zeros((0, 2)), np.zeros(0, dtype=int), Objective(), TrainConfig())
 

@@ -2,8 +2,11 @@
 
 A short synthetic stream is run through the CLI for the frozen, periodic
 and adwin-hybrid strategies, plus a matched-replay cell that replays the
-adwin-hybrid schedule under random acquisition. Paths are relative to the
-run's working directory, so ``config.txt`` is the same on every machine.
+adwin-hybrid schedule under random acquisition, and three periodic cells
+with experience replay (default capacity, an evicting capacity of 40, and
+capacity 0), each under its own output directory. Paths are relative to
+the run's working directory, so ``config.txt`` is the same on every
+machine.
 
 A small hand-written CSV with the messy cases real exports carry goes
 through ``prepare_dataset``; the bytes of its four arrays are pinned here.
@@ -46,6 +49,17 @@ CELLS = {
     ],
 }
 
+# periodic cells with replay; the cell name is also the run's output directory
+REPLAY_CELLS = {
+    "periodic-replay": [],
+    "periodic-replay-capacity-40": ["--replay.capacity", "40"],
+    "periodic-replay-capacity-0": ["--replay.capacity", "0"],
+}
+
+
+def _digests(cell_dir):
+    return {f: hashlib.sha256((cell_dir / f).read_bytes()).hexdigest() for f in RUN_FILES}
+
 
 def run_cells():
     """{cell: {file: sha256}} for every cell, run in the current directory."""
@@ -53,10 +67,11 @@ def run_cells():
     out = {}
     for name, flags in CELLS.items():
         assert main(["run", *flags, *COMMON]) == 0
-        cell_dir = Path("out") / name / "42"
-        out[name] = {
-            f: hashlib.sha256((cell_dir / f).read_bytes()).hexdigest() for f in RUN_FILES
-        }
+        out[name] = _digests(Path("out") / name / "42")
+    for name, flags in REPLAY_CELLS.items():
+        run_flags = ["--strategy", "periodic", "--replay.enabled", "true", *flags]
+        assert main(["run", *run_flags, *COMMON, "--out", name]) == 0
+        out[name] = _digests(Path(name) / "periodic" / "42")
     return out
 
 

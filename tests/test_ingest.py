@@ -5,11 +5,11 @@ from alertscreen.ingest import (
     DataError,
     DatasetManifest,
     EventTable,
+    Preprocessor,
     UNSEEN_CATEGORY,
     apply_leakage_filter,
     chronological_split,
     compute_time_since,
-    fit_preprocessor,
     load_events,
     load_manifest,
     parse_numeric,
@@ -112,7 +112,7 @@ def test_time_since_sums_to_total_span():
 
 
 def test_numeric_imputation_precedes_standardization():
-    pre = fit_preprocessor(_events(["1", "3", ""]), [], ["v"])
+    pre = Preprocessor([], ["v"]).fit(_events(["1", "3", ""]))
     assert pre.num_median["v"] == 2.0
     assert pre.num_mean["v"] == 2.0
     # brute-force two-pass reference on the imputed column {1, 3, 2}
@@ -120,14 +120,14 @@ def test_numeric_imputation_precedes_standardization():
 
 
 def test_constant_column_std_clamped_to_one():
-    pre = fit_preprocessor(_events(["5", "5", "5"]), [], ["v"])
+    pre = Preprocessor([], ["v"]).fit(_events(["5", "5", "5"]))
     assert pre.num_std["v"] == 1.0
     X = pre.transform(_events(["5", "7"]))
     assert X[0, 0] == 0.0 and X[1, 0] == 2.0
 
 
 def test_categorical_vocab_order_mode_and_unseen_slot():
-    pre = fit_preprocessor(_events(["a", "a", "b"]), ["v"], [])
+    pre = Preprocessor(["v"], []).fit(_events(["a", "a", "b"]))
     assert pre.onehot_vocab["v"] == ["a", "b", UNSEEN_CATEGORY]
     assert pre.cat_mode["v"] == "a"
     X = pre.transform(_events(["z"]))
@@ -135,13 +135,13 @@ def test_categorical_vocab_order_mode_and_unseen_slot():
 
 
 def test_missing_categorical_imputes_mode():
-    pre = fit_preprocessor(_events(["a", "a", "b"]), ["v"], [])
+    pre = Preprocessor(["v"], []).fit(_events(["a", "a", "b"]))
     X = pre.transform(_events([""]))
     assert list(X[0]) == [1.0, 0.0, 0.0]
 
 
 def test_standardization_centering_and_scale():
-    pre = fit_preprocessor(_events(["0", "10"]), [], ["v"])
+    pre = Preprocessor([], ["v"]).fit(_events(["0", "10"]))
     mu, sigma = pre.num_mean["v"], pre.num_std["v"]
     X = pre.transform(_events([str(mu), str(mu + sigma)]))
     assert X[0, 0] == pytest.approx(0.0)
@@ -150,15 +150,15 @@ def test_standardization_centering_and_scale():
 
 def test_entirely_missing_column_is_an_error():
     with pytest.raises(DataError, match="entirely missing"):
-        fit_preprocessor(_events(["", "", ""]), [], ["v"])
+        Preprocessor([], ["v"]).fit(_events(["", "", ""]))
     with pytest.raises(DataError, match="entirely missing"):
-        fit_preprocessor(_events(["", ""]), ["v"], [])
+        Preprocessor(["v"], []).fit(_events(["", ""]))
 
 
 def test_transform_width_fixed_across_partitions():
     train = _events(["a", "b", "a"])
     stream = _events(["c", "a", "", "b"])
-    pre = fit_preprocessor(train, ["v"], [])
+    pre = Preprocessor(["v"], []).fit(train)
     assert pre.transform(train).shape[1] == pre.transform(stream).shape[1] == pre.width
 
 

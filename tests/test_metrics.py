@@ -12,7 +12,6 @@ from alertscreen.metrics import (
     multiseed_summary,
     positive_window_recall,
     realized_query_rate,
-    rolling_metrics,
     trace_from_csv,
     trace_to_csv,
 )
@@ -21,7 +20,7 @@ from alertscreen.metrics import (
 def test_all_negative_window_recall_undefined_fpr_zero():
     window = RollingWindow(100)
     window.push_batch([0] * 10, [0] * 10)
-    m = rolling_metrics(window)
+    m = window.metrics()
     assert m["recall"] is None and m["f1"] is None
     assert m["fpr"] == 0.0
 
@@ -31,7 +30,7 @@ def test_hand_computed_window_metrics():
     labels = [1] + [0] * 9
     preds = [1, 1] + [0] * 8
     window.push_batch(labels, preds)
-    m = rolling_metrics(window)
+    m = window.metrics()
     assert m["precision"] == 0.5
     assert m["recall"] == 1.0
     assert m["f1"] == pytest.approx(2.0 / 3.0)
@@ -40,7 +39,7 @@ def test_hand_computed_window_metrics():
 
 
 def test_empty_window_everything_undefined():
-    m = rolling_metrics(RollingWindow(10))
+    m = RollingWindow(10).metrics()
     assert all(v is None for v in m.values())
 
 
