@@ -193,6 +193,24 @@ def test_partial_final_batch_processed():
     assert len(result.trace) == 5
 
 
+def test_replay_variant_reports_replayed_labels():
+    X_train, y_train, X_stream, y_stream = gaussian_splits(seed=13, n_stream=16_000)
+    settings = RunSettings(
+        strategy=StrategyConfig(
+            kind="matched-replay",
+            trigger_schedule=[4_000, 8_000, 12_000],
+            replay_enabled=True,
+        ),
+        seed=42,
+    )
+    result = run_stream(X_train, y_train, X_stream, y_stream, settings)
+    assert result.endpoints.updates == 3
+    # first update has an empty buffer behind it; later ones mix in history
+    assert result.endpoints.replayed_labels == 0 + 25 + 25
+    applied = result.endpoints.applied_pos + result.endpoints.applied_neg
+    assert applied == result.endpoints.queries == 150
+
+
 @pytest.mark.parametrize(
     "ratio, capacity, replayed",
     [
@@ -202,9 +220,9 @@ def test_partial_final_batch_processed():
         (1.0, 40, [0, 40, 40]),  # the sample is capped at what the capacity keeps
         (1.0, 0, [0, 0, 0]),
     ],
-    ids=["ratio-0.5", "ratio-0", "ratio-1", "capacity-40", "capacity-0"],
+    ids=["ratio-half", "ratio-0", "ratio-1", "capacity-40", "capacity-0"],
 )
-def test_replay_variant_reports_replayed_labels(monkeypatch, ratio, capacity, replayed):
+def test_replay_ratio_and_capacity_bound_replayed_rows(monkeypatch, ratio, capacity, replayed):
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=13, n_stream=16_000)
     batches = []
     warm_start = gbt.warm_start_update
