@@ -28,7 +28,7 @@ from .controller import STRATEGIES, run_stream
 from .ingest import DataError, prepare_dataset
 from .metrics import Endpoints, bayes_projection, multiseed_summary, trace_to_csv
 from .schema import write_pairs
-from .synth import DriftPoint, SyntheticStreamSpec, write_dataset
+from .synth import TOPOLOGIES, DriftPoint, SyntheticStreamSpec, write_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +40,9 @@ REQUIRED_RUN_FLAGS = {
     "run.seeds": ("--seed", "seed, comma-separated for a sweep"),
     "run.out": ("--out", "output directory"),
 }
+
+# synth's parsed arguments that are not SyntheticStreamSpec fields
+SYNTH_OTHER_ARGS = ("command", "out", "manifest", "drift")
 
 
 def build_parser():
@@ -57,20 +60,25 @@ def build_parser():
         if key not in REQUIRED_RUN_FLAGS:
             p_run.add_argument(f"--{key}", dest=key, metavar="VALUE")
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic alert stream")
-    p_synth.add_argument("--out", required=True, help="CSV output path")
-    p_synth.add_argument("--manifest", help="manifest output path (default <out>.manifest)")
-    p_synth.add_argument("--length", type=int, default=100_000)
-    p_synth.add_argument("--prevalence", type=float, default=0.01)
-    p_synth.add_argument("--n-features", type=int, default=4)
-    p_synth.add_argument("--n-categories", type=int, default=0)
-    p_synth.add_argument(
-        "--topology", choices=("recurrent-spikes", "single-burst"), default="recurrent-spikes"
+    # a synth flag not given is left out, so SyntheticStreamSpec's default holds
+    p_synth = sub.add_parser(
+        "synth", help="generate a synthetic alert stream", argument_default=argparse.SUPPRESS
     )
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--class-separation", type=float, default=2.0)
-    p_synth.add_argument("--burst-start", type=float, default=0.10)
-    p_synth.add_argument("--burst-density", type=float, default=0.50)
+    p_synth.add_argument("--out", required=True, help="CSV output path")
+    p_synth.add_argument(
+        "--manifest", default=None, help="manifest output path (default <out>.manifest)"
+    )
+    p_synth.add_argument("--length", type=int)
+    p_synth.add_argument("--prevalence", type=float)
+    p_synth.add_argument("--n-features", type=int)
+    p_synth.add_argument("--n-categories", type=int)
+    p_synth.add_argument("--topology", dest="attack_topology", choices=TOPOLOGIES)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--class-separation", type=float)
+    p_synth.add_argument(
+        "--burst-start", dest="burst_start_frac", metavar="BURST_START", type=float
+    )
+    p_synth.add_argument("--burst-density", type=float)
     p_synth.add_argument(
         "--drift",
         action="append",
@@ -94,7 +102,7 @@ def build_parser():
 
 def _load_trigger_schedule(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return [int(line) for line in fh if line.strip()]
     except OSError as exc:
         raise DataError(f"cannot read trigger schedule: {exc}") from exc
@@ -208,18 +216,8 @@ def _parse_drift(entries):
 
 def cmd_synth(args):
     try:
-        spec = SyntheticStreamSpec(
-            length=args.length,
-            prevalence=args.prevalence,
-            n_features=args.n_features,
-            drift_points=_parse_drift(args.drift),
-            attack_topology=args.topology,
-            seed=args.seed,
-            class_separation=args.class_separation,
-            n_categories=args.n_categories,
-            burst_start_frac=args.burst_start,
-            burst_density=args.burst_density,
-        )
+        given = {k: v for k, v in vars(args).items() if k not in SYNTH_OTHER_ARGS}
+        spec = SyntheticStreamSpec(drift_points=_parse_drift(args.drift), **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     manifest_path = args.manifest or args.out + ".manifest"

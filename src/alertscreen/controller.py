@@ -144,7 +144,6 @@ class RunLedger:
 class RunResult:
     trace: list
     endpoints: Endpoints
-    operating_point: object
     ensemble: gbt.BoostedEnsemble
     ledger: RunLedger
 
@@ -172,10 +171,9 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     tail_n = max(1, int(round(settings.tail_fraction * y_train.size)))
     tail_scores = ensemble.predict_proba(X_train[-tail_n:])
     tail_labels = y_train[-tail_n:]
-    operating_point = select_threshold(
+    theta = select_threshold(
         tail_scores, tail_labels, threshold_policy, settings.grid_points, settings.min_recall
     )
-    theta = operating_point.theta
 
     adwin = AdwinDetector(settings.adwin_delta) if trigger == "adwin" else None
     budget = settings.query_budget
@@ -320,7 +318,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     return RunResult(
         trace=trace,
         endpoints=endpoints,
-        operating_point=operating_point,
         ensemble=ensemble,
         ledger=ledger,
     )

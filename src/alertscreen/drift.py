@@ -24,7 +24,7 @@ _BLOCK_STEPS = 1024
 class AdwinDetector:
     """Score-shift detector; one instance per run, single-threaded."""
 
-    def __init__(self, delta=0.002, max_buckets_per_row=5):
+    def __init__(self, delta, max_buckets_per_row=5):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         self.delta = delta

@@ -24,7 +24,7 @@ class RollingWindow:
     3 a true positive.
     """
 
-    def __init__(self, capacity=10_000):
+    def __init__(self, capacity):
         if capacity <= 0:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
@@ -72,7 +72,7 @@ class MissedPositiveStats:
     mean_burst_delay: float | None
 
 
-def missed_positive_stats(labels, preds, burst_gap=10_000, delay_mode="positives"):
+def missed_positive_stats(labels, preds, burst_gap, delay_mode):
     """Missed-positive count, longest missed streak, mean burst delay.
 
     A burst is a maximal run of positives in which consecutive positives

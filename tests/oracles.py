@@ -228,6 +228,43 @@ def oracle_select(scores, theta, budget, policy):
     raise ValueError(policy)
 
 
+def reference_threshold(scores, labels, policy, grid_points, min_recall):
+    """Operating threshold from a full confusion recount at every grid theta.
+
+    max-f1 keeps the first grid theta whose F1 beats every smaller one;
+    recall-constrained scans the grid downward for the first theta whose
+    recall is at least ``min_recall`` times the recall at the max-F1 theta.
+    """
+    scores = np.asarray(scores)
+    pos = np.asarray(labels) == 1
+    if not pos.any():
+        raise ValueError("threshold undefined: validation tail contains no positives")
+    grid = np.arange(grid_points) / (grid_points - 1)
+
+    def f1_and_recall(theta):
+        yhat = scores >= theta
+        tp = int((yhat & pos).sum())
+        fp = int((yhat & ~pos).sum())
+        fn = int((~yhat & pos).sum())
+        f1 = 0.0 if tp + fp == 0 else 2.0 * tp / (2.0 * tp + fp + fn)
+        return f1, tp / (tp + fn)
+
+    best_theta, best_f1 = grid[0], -1.0
+    for theta in grid:
+        f1 = f1_and_recall(theta)[0]
+        if f1 > best_f1:
+            best_theta, best_f1 = theta, f1
+    if policy == "max-f1":
+        return float(best_theta)
+    if policy != "recall-constrained":
+        raise ValueError(f"unknown threshold policy: {policy!r}")
+    floor = min_recall * f1_and_recall(best_theta)[1]
+    for theta in grid[::-1]:
+        if f1_and_recall(theta)[1] >= floor:
+            return float(theta)
+    raise AssertionError("the max-F1 theta always meets the recall floor")
+
+
 def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
     """Reference stream pass: train, pick theta, score batches, no controller.
 
@@ -237,13 +274,12 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
     from alertscreen.gbt import train_initial
     from alertscreen.metrics import RollingWindow, TraceRow
     from alertscreen.objectives import resolve_pos_weight
-    from alertscreen.threshold import select_threshold
 
     rng = np.random.default_rng(settings.seed)
     objective = resolve_pos_weight(settings.objective, y_train)
     ensemble = train_initial(X_train, y_train, objective, settings.train, rng=rng)
     tail_n = max(1, int(round(settings.tail_fraction * y_train.size)))
-    op = select_threshold(
+    theta = reference_threshold(
         ensemble.predict_proba(X_train[-tail_n:]),
         y_train[-tail_n:],
         settings.threshold_policy,
@@ -257,7 +293,7 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
     for start in range(0, n, settings.strategy.batch_size):
         end = min(start + settings.strategy.batch_size, n)
         yb = y_stream[start:end]
-        yhat = ensemble.predict_proba(X_stream[start:end]) >= op.theta
+        yhat = ensemble.predict_proba(X_stream[start:end]) >= theta
         cum_fp += int(((yb == 0) & yhat).sum())
         cum_missed += int(((yb == 1) & ~yhat).sum())
         window.push_batch(yb, yhat)

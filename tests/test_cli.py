@@ -499,3 +499,12 @@ def test_byte_order_marks_are_ignored(dataset, tmp_path):
     for name in ("trace.csv", "endpoints.txt"):
         with_bom = (tmp_path / "bom" / "frozen" / "42" / name).read_bytes()
         assert with_bom == (tmp_path / "plain" / "frozen" / "42" / name).read_bytes()
+
+
+def test_trigger_schedule_byte_order_mark_is_ignored(dataset, tmp_path):
+    schedule = tmp_path / "triggers.txt"
+    schedule.write_bytes(b"\xef\xbb\xbf1000\n3000\n")
+    out = tmp_path / "out"
+    extra = ["--strategy.trigger_schedule", str(schedule)]
+    assert main(_run_args(dataset, out, strategy="matched-replay", extra=extra)) == 0
+    assert (out / "matched-replay" / "42" / "triggers.txt").read_text() == "1000\n3000\n"

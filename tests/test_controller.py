@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import gaussian_splits
-from oracles import SequentialAdwin, pure_prediction_trace
+from oracles import SequentialAdwin, pure_prediction_trace, reference_threshold
 
 from alertscreen import gbt
 from alertscreen.controller import STRATEGIES, RunSettings, StrategyConfig, run_stream
@@ -40,7 +40,12 @@ def test_run_is_deterministic_per_seed(small_splits):
 def test_threshold_only_uses_recall_constrained_theta(small_splits):
     frozen = run_stream(*small_splits, _settings("frozen"))
     constrained = run_stream(*small_splits, _settings("threshold-only"))
-    assert constrained.operating_point.policy == "recall-constrained"
+    X_train, y_train = small_splits[:2]
+    tail_n = round(0.2 * y_train.size)
+    tail_scores = constrained.ensemble.predict_proba(X_train[-tail_n:])
+    assert constrained.endpoints.theta == reference_threshold(
+        tail_scores, y_train[-tail_n:], "recall-constrained", 101, 0.95
+    )
     assert constrained.endpoints.theta >= frozen.endpoints.theta
     assert constrained.endpoints.queries == 0 and constrained.endpoints.updates == 0
     assert constrained.endpoints.cum_fp <= frozen.endpoints.cum_fp

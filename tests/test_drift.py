@@ -37,7 +37,7 @@ def test_abrupt_shift_detected_promptly_and_window_drops_old_data():
 
 
 def test_input_domain_enforced():
-    det = AdwinDetector()
+    det = AdwinDetector(delta=0.002)
     with pytest.raises(ValueError):
         det.update(-0.1)
     with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 A short synthetic stream is run through the CLI for the frozen, periodic
 and adwin-hybrid strategies, plus a matched-replay cell that replays the
-adwin-hybrid schedule under random acquisition, and three periodic cells
+adwin-hybrid schedule under random acquisition, three periodic cells
 with experience replay (default capacity, an evicting capacity of 40, and
-capacity 0), each under its own output directory. Paths are relative to
+capacity 0), and two threshold-only cells that pin the recall-constrained
+threshold (default settings, and ``min_recall`` 0.5 on a 37-point grid),
+each under its own output directory. Paths are relative to
 the run's working directory, so ``config.txt`` is the same on every
 machine.
 
@@ -56,6 +58,14 @@ REPLAY_CELLS = {
     "periodic-replay-capacity-0": ["--replay.capacity", "0"],
 }
 
+# threshold-only cells; the cell name is also the run's output directory
+THRESHOLD_CELLS = {
+    "threshold-only": [],
+    "threshold-only-recall-0.5-grid-37": [
+        "--threshold.min_recall", "0.5", "--threshold.grid_points", "37",
+    ],
+}
+
 
 def _digests(cell_dir):
     return {f: hashlib.sha256((cell_dir / f).read_bytes()).hexdigest() for f in RUN_FILES}
@@ -72,6 +82,9 @@ def run_cells():
         run_flags = ["--strategy", "periodic", "--replay.enabled", "true", *flags]
         assert main(["run", *run_flags, *COMMON, "--out", name]) == 0
         out[name] = _digests(Path(name) / "periodic" / "42")
+    for name, flags in THRESHOLD_CELLS.items():
+        assert main(["run", "--strategy", "threshold-only", *flags, *COMMON, "--out", name]) == 0
+        out[name] = _digests(Path(name) / "threshold-only" / "42")
     return out
 
 

@@ -71,14 +71,14 @@ def test_missed_stats_all_detected():
     labels = np.zeros(20, dtype=int)
     labels[5:8] = 1
     preds = labels.copy()
-    stats = missed_positive_stats(labels, preds)
+    stats = missed_positive_stats(labels, preds, 10_000, "positives")
     assert (stats.count, stats.max_streak, stats.mean_burst_delay) == (0, 0, 0.0)
 
 
 def test_missed_stats_single_burst_delay():
     labels = np.array([1, 1, 1, 1])
     preds = np.array([0, 0, 1, 1])
-    stats = missed_positive_stats(labels, preds)
+    stats = missed_positive_stats(labels, preds, 10_000, "positives")
     assert stats.count == 2
     assert stats.max_streak == 2
     assert stats.mean_burst_delay == 2.0
@@ -91,7 +91,7 @@ def test_missed_stats_streak_spans_bursts_but_delay_does_not():
     labels[24_000:24_002] = 1
     preds = np.zeros(25_000, dtype=int)
     preds[2] = 1  # only the third positive of burst one is caught
-    stats = missed_positive_stats(labels, preds, burst_gap=10_000)
+    stats = missed_positive_stats(labels, preds, burst_gap=10_000, delay_mode="positives")
     assert stats.count == 4
     assert stats.max_streak == 2  # the trailing burst misses both
     assert stats.mean_burst_delay == pytest.approx((2.0 + 2.0) / 2.0)
@@ -102,15 +102,15 @@ def test_missed_stats_event_delay_mode():
     labels[[2, 5, 7]] = 1
     preds = np.zeros(10, dtype=int)
     preds[7] = 1
-    by_positives = missed_positive_stats(labels, preds, delay_mode="positives")
-    by_events = missed_positive_stats(labels, preds, delay_mode="events")
+    by_positives = missed_positive_stats(labels, preds, 10_000, delay_mode="positives")
+    by_events = missed_positive_stats(labels, preds, 10_000, delay_mode="events")
     assert by_positives.mean_burst_delay == 2.0
     assert by_events.mean_burst_delay == 5.0
 
 
 def test_missed_stats_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        missed_positive_stats(np.zeros(3), np.zeros(4))
+        missed_positive_stats(np.zeros(3), np.zeros(4), 10_000, "positives")
 
 
 def test_fp_burden_reproduces_published_operating_points():
