@@ -172,11 +172,15 @@ def cmd_run(args):
         _check_trigger_schedule(schedule, data.y_stream.size, cfg.settings.strategy.batch_size)
 
     out_root = Path(cfg.out_dir)
+    cores = {}  # seed -> the frozen core its first cell trained, shared by its later cells
     for strategy in cfg.strategies:
         endpoint_maps = []
         for seed in cfg.seeds:
             settings = build_settings(cfg, strategy, seed, trigger_schedule=schedule)
-            result = run_stream(data.X_train, data.y_train, data.X_stream, data.y_stream, settings)
+            result = run_stream(
+                data.X_train, data.y_train, data.X_stream, data.y_stream, settings, cores.get(seed)
+            )
+            cores.setdefault(seed, result.core)
             try:
                 _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
             except OSError as exc:

@@ -17,7 +17,7 @@ live detector, still gated by cooldown and dedup eligibility).
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +51,8 @@ STRATEGIES = {
     "matched-replay": ("schedule", None, None),
 }
 QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if trigger)
+
+CORE_TILE_ROWS = 2_048  # stream rows per tree walk when a core scores the whole stream
 
 
 @dataclass
@@ -140,20 +142,66 @@ class RunLedger:
     schedule_suppressed_by_cooldown: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class FrozenCore:
+    """One seed's trained core and its scores, for every strategy of that seed to wrap.
+
+    Nothing draws from the generator between training and the first trigger,
+    so a run that restarts from ``rng_state`` equals one that trained the core.
+    """
+
+    ensemble: gbt.BoostedEnsemble
+    rng_state: dict  # the generator's bit_generator.state right after training
+    margin: np.ndarray  # the core's margin over the whole stream, read-only
+    tail_scores: np.ndarray  # the training tail's scores that theta is picked from
+    built_for: dict  # seed, resolved objective, train config, tail and stream lengths
+
+
+def _core_inputs(settings, y_train, stream_events):
+    """A core's ``built_for``, copied so that a later edit of the settings cannot match it."""
+    return {
+        "seed": settings.seed,
+        "objective": replace(resolve_pos_weight(settings.objective, y_train)),
+        "train": replace(settings.train),
+        "tail_n": max(1, int(round(settings.tail_fraction * y_train.size))),
+        "stream_events": stream_events,
+    }
+
+
+def build_core(X_train, y_train, X_stream, settings):
+    """Train the frozen core and score the training tail and the stream with it."""
+    built_for = _core_inputs(settings, y_train, X_stream.shape[0])
+    rng = np.random.default_rng(settings.seed)
+    ensemble = gbt.train_initial(X_train, y_train, built_for["objective"], settings.train, rng)
+    rng_state = rng.bit_generator.state
+    tail_scores = ensemble.predict_proba(X_train[-built_for["tail_n"] :])
+    margin = np.empty(X_stream.shape[0], dtype=np.float64)
+    for start in range(0, margin.size, CORE_TILE_ROWS):
+        tile = slice(start, start + CORE_TILE_ROWS)
+        margin[tile] = ensemble.predict_margin(X_stream[tile])
+    margin.flags.writeable = tail_scores.flags.writeable = False
+    return FrozenCore(ensemble, rng_state, margin, tail_scores, built_for)
+
+
 @dataclass
 class RunResult:
     trace: list
     endpoints: Endpoints
     ensemble: gbt.BoostedEnsemble
     ledger: RunLedger
+    core: FrozenCore
 
     @property
     def trigger_events(self):
         return self.ledger.trigger_events
 
 
-def run_stream(X_train, y_train, X_stream, y_stream, settings):
-    """Execute one full streaming run; deterministic for a fixed seed."""
+def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
+    """Execute one full streaming run; deterministic for a fixed seed.
+
+    ``core``, built for the same data and inputs by ``build_core`` or an
+    earlier run, is used as is; the result equals a run that builds its own.
+    """
     strat = settings.strategy
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
@@ -164,15 +212,21 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     acquisition_policy = acquisition_policy or settings.acquisition_policy
     threshold_policy = threshold_policy or settings.threshold_policy
 
-    rng = np.random.default_rng(settings.seed)
-    objective = resolve_pos_weight(settings.objective, y_train)
-    ensemble = gbt.train_initial(X_train, y_train, objective, settings.train, rng=rng)
+    if core is None:
+        core = build_core(X_train, y_train, X_stream, settings)
+    built_for = _core_inputs(settings, y_train, y_stream.size)
+    if core.built_for != built_for:
+        other = [key for key in built_for if core.built_for[key] != built_for[key]]
+        raise ValueError(f"frozen core was built for another {', '.join(other)}")
+    objective = built_for["objective"]
+    rng = np.random.default_rng()  # this run's own generator, in the post-training state
+    rng.bit_generator.state = core.rng_state
+    ensemble = replace(core.ensemble, rng=rng)
+    core_trees = ensemble.n_trees  # a batch walks only the trees after these
 
-    tail_n = max(1, int(round(settings.tail_fraction * y_train.size)))
-    tail_scores = ensemble.predict_proba(X_train[-tail_n:])
-    tail_labels = y_train[-tail_n:]
+    tail_labels = y_train[-built_for["tail_n"] :]
     theta = select_threshold(
-        tail_scores, tail_labels, threshold_policy, settings.grid_points, settings.min_recall
+        core.tail_scores, tail_labels, threshold_policy, settings.grid_points, settings.min_recall
     )
 
     adwin = AdwinDetector(settings.adwin_delta) if trigger == "adwin" else None
@@ -196,7 +250,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
     for start in range(0, n, strat.batch_size):
         end = min(start + strat.batch_size, n)
         yb = y_stream[start:end]
-        p = ensemble.predict_proba(X_stream[start:end])
+        p = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], core_trees)
         yhat = p >= theta
         preds[start:end] = yhat
         scores[start:end] = p
@@ -315,9 +369,4 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings):
         realized_query_rate=realized_query_rate(len(ledger.queried_ids), n) if n else 0.0,
         trees=ensemble.n_trees,
     )
-    return RunResult(
-        trace=trace,
-        endpoints=endpoints,
-        ensemble=ensemble,
-        ledger=ledger,
-    )
+    return RunResult(trace, endpoints, ensemble, ledger, core)

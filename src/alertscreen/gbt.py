@@ -107,17 +107,22 @@ class BoostedEnsemble:
                 f"expected {self.n_features}"
             )
 
-    def predict_margin(self, X):
+    def predict_margin(self, X, prefix_margin=None, prefix_trees=0):
+        """Log-odds per row of X. Given ``prefix_margin``, the margin of the first
+        ``prefix_trees`` trees on X, only the later trees are walked, in order."""
         X = np.asarray(X, dtype=np.float64)
         self._check_width(X)
-        margin = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
+        if prefix_margin is None:
+            margin, prefix_trees = np.full(X.shape[0], self.base_score, dtype=np.float64), 0
+        else:
+            margin = np.array(prefix_margin, dtype=np.float64)
+        for tree in self.trees[prefix_trees:]:
             margin += self.learning_rate * tree.apply(X)
         return margin
 
-    def predict_proba(self, X):
+    def predict_proba(self, X, prefix_margin=None, prefix_trees=0):
         """Positive-class probability, strictly inside (0, 1)."""
-        p = _sigmoid(self.predict_margin(X))
+        p = _sigmoid(self.predict_margin(X, prefix_margin, prefix_trees))
         return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from alertscreen import cli
+from alertscreen import cli, gbt
 from alertscreen.cli import RUN_FILES, main
 from alertscreen.config import CONFIG_KEYS, RunConfig, parse_config_text, serialize_config
 from alertscreen.metrics import Endpoints
@@ -263,6 +263,23 @@ def test_failed_rerun_keeps_the_earlier_run(dataset, tmp_path, monkeypatch, fail
     assert main(_run_args(dataset, out)) == 0
     assert sorted(p.name for p in run_dir.iterdir()) == sorted(RUN_FILES)
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_matrix_trains_one_core_per_seed(dataset, tmp_path, monkeypatch):
+    calls = []
+    train_initial = gbt.train_initial
+
+    def counting_train_initial(*args, **kwargs):
+        calls.append(args)
+        return train_initial(*args, **kwargs)
+
+    monkeypatch.setattr(gbt, "train_initial", counting_train_initial)
+    strategies = "frozen,periodic,adwin-hybrid"
+    assert main(_run_args(dataset, tmp_path / "out", strategies, "1,2")) == 0
+    assert len(calls) == 2
+    for strategy in strategies.split(","):
+        for seed in ("1", "2"):
+            assert (tmp_path / "out" / strategy / seed / "endpoints.txt").is_file()
 
 
 def test_project_reproduces_published_rows(capsys):

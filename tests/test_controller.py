@@ -1,10 +1,20 @@
+import functools
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from conftest import gaussian_splits
 from oracles import SequentialAdwin, pure_prediction_trace, reference_threshold
 
 from alertscreen import gbt
-from alertscreen.controller import STRATEGIES, RunSettings, StrategyConfig, run_stream
+from alertscreen.controller import (
+    CORE_TILE_ROWS,
+    STRATEGIES,
+    RunSettings,
+    StrategyConfig,
+    build_core,
+    run_stream,
+)
 from alertscreen.drift import AdwinDetector
 from alertscreen.metrics import trace_to_csv
 
@@ -362,3 +372,111 @@ def test_adwin_checks_each_batch_in_one_call(drifting_small_splits, monkeypatch)
     expected = sum(reference.update(float(v)) for scores, _ in calls for v in scores)
     assert sum(shrank for _, shrank in calls) == expected > 0
     assert result.trigger_events
+
+
+# The shared-core grid: a short stream for batch size 1, and for the other
+# sizes a stream longer than one core tile, so tile and batch boundaries cross.
+# (n_stream, drift_at, drift_shift) per batch size.
+GRID_STREAMS = {1: (600, 200, 3.0), 7: (5_000, 2_000, 1.5), 1_000: (5_000, 2_000, 1.5)}
+GRID_TRAIN = gbt.TrainConfig(initial_rounds=20, max_depth=3)
+GRID_CASES = [(kind, False) for kind in STRATEGIES] + [("periodic", True)]  # (kind, replay)
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+@functools.cache
+def _grid_splits(batch_size):
+    n_stream, drift_at, drift_shift = GRID_STREAMS[batch_size]
+    return gaussian_splits(
+        seed=9, n_train=1_000, n_stream=n_stream, drift_at=drift_at, drift_shift=drift_shift
+    )
+
+
+def _grid_settings(batch_size, kind, replay=False):
+    interval = 200 if batch_size == 1 else 1_000
+    schedule = None
+    if kind == "matched-replay":  # the schedule adwin-hybrid recorded on this grid row
+        schedule = _cold_run(batch_size, "adwin-hybrid").trigger_events
+    strategy = StrategyConfig(
+        kind=kind,
+        batch_size=batch_size,
+        periodic_interval=interval,
+        cooldown_events=interval // 2,
+        replay_enabled=replay,
+        trigger_schedule=schedule,
+    )
+    return RunSettings(strategy=strategy, train=GRID_TRAIN, seed=42)
+
+
+@functools.cache
+def _cold_run(batch_size, kind, replay=False):
+    """A run that builds its own core."""
+    return run_stream(*_grid_splits(batch_size), _grid_settings(batch_size, kind, replay))
+
+
+@functools.cache
+def _unused_core(batch_size):
+    """A core no run has used, to hold used ones against."""
+    return build_core(*_grid_splits(batch_size)[:3], _grid_settings(batch_size, "frozen"))
+
+
+def _assert_same_run(a, b):
+    assert a.trace == b.trace  # names the first row that differs
+    assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
+    assert a.endpoints.to_text() == b.endpoints.to_text()
+    assert a.ledger == b.ledger
+    assert a.ensemble.n_trees == b.ensemble.n_trees
+    for tree_a, tree_b in zip(a.ensemble.trees, b.ensemble.trees):
+        for name in TREE_ARRAYS:
+            assert getattr(tree_a, name).tobytes() == getattr(tree_b, name).tobytes()
+
+
+def test_grid_streams_cross_core_tiles():
+    assert GRID_STREAMS[7][0] > CORE_TILE_ROWS and CORE_TILE_ROWS % 7
+    assert GRID_STREAMS[1_000][0] > CORE_TILE_ROWS and CORE_TILE_ROWS % 1_000
+
+
+@pytest.mark.parametrize("batch_size", list(GRID_STREAMS))
+@pytest.mark.parametrize("kind, replay", GRID_CASES)
+def test_run_on_another_strategys_core_equals_a_cold_run(batch_size, kind, replay):
+    cold = _cold_run(batch_size, kind, replay)
+    # a querying kind must query here, or sharing its core proves little
+    assert bool(cold.trigger_events) == (STRATEGIES[kind][0] is not None)
+    assert cold.ledger.replayed > 0 or not replay
+    donor = _cold_run(batch_size, "adwin-hybrid" if kind == "periodic" else "periodic").core
+    shared = run_stream(*_grid_splits(batch_size), _grid_settings(batch_size, kind, replay), donor)
+    _assert_same_run(shared, cold)
+    assert shared.core is donor
+
+    # the donor's own run, this one and the earlier ones leave the core as it was built
+    built = _unused_core(batch_size)
+    assert donor.margin.tobytes() == built.margin.tobytes()
+    assert donor.ensemble.n_trees == built.ensemble.n_trees == GRID_TRAIN.initial_rounds
+    assert donor.rng_state == built.rng_state == donor.ensemble.rng.bit_generator.state
+
+
+# what a core depends on, by the name the refusal gives
+CORE_INPUTS = ["seed", "objective", "tail_n", "stream_events"] + [
+    f"train.{f.name}" for f in fields(gbt.TrainConfig)
+]
+
+
+@pytest.mark.parametrize("change", CORE_INPUTS)
+def test_core_built_for_other_inputs_is_refused(change):
+    X_train, y_train, X_stream, y_stream = _grid_splits(1_000)
+    settings = _grid_settings(1_000, "frozen")
+    core = _cold_run(1_000, "frozen").core
+    if change == "seed":
+        settings = replace(settings, seed=43)
+    elif change == "objective":
+        settings = replace(settings, objective=replace(settings.objective, gamma=1.0))
+    elif change == "tail_n":
+        settings = replace(settings, tail_fraction=0.3)
+    elif change == "stream_events":
+        X_stream, y_stream = X_stream[:-1], y_stream[:-1]
+    else:
+        name = change.removeprefix("train.")
+        value = getattr(settings.train, name)
+        value = value + 1 if isinstance(value, int) else value / 2
+        settings = replace(settings, train=replace(settings.train, **{name: value}))
+    with pytest.raises(ValueError, match=f"another {change.split('.')[0]}$"):
+        run_stream(X_train, y_train, X_stream, y_stream, settings, core)

@@ -175,6 +175,20 @@ def test_warm_start_preserves_tree_prefix():
     assert ens.n_trees == 15
 
 
+def test_prefix_margin_adds_only_the_later_trees_bit_for_bit():
+    X, y = _separable_data(seed=8, n=300)
+    rng = np.random.default_rng(5)
+    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), rng)
+    grown = warm_start_update(core, X[:100], y[:100], Objective(), TrainConfig()).ensemble
+    prefix = core.predict_margin(X)
+    for rows in (slice(None), slice(7, 8), slice(50, 250)):
+        with_prefix = grown.predict_proba(X[rows], prefix[rows], core.n_trees)
+        assert with_prefix.tobytes() == grown.predict_proba(X[rows]).tobytes()
+    # the prefix is copied, never added to in place
+    assert prefix.tobytes() == core.predict_margin(X).tobytes()
+    assert core.predict_proba(X, prefix, core.n_trees).tobytes() == core.predict_proba(X).tobytes()
+
+
 def test_warm_start_loss_non_increasing_on_same_batch():
     X, y = _separable_data(seed=10)
     obj = Objective()

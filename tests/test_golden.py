@@ -93,6 +93,16 @@ def test_run_files_match_golden_digests(tmp_path, monkeypatch):
     assert run_cells() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def test_matrix_cells_match_single_cell_digests(tmp_path, monkeypatch):
+    """One run of three strategies shares one frozen core, yet keeps each cell's bytes."""
+    monkeypatch.chdir(tmp_path)
+    assert main(SYNTH) == 0
+    assert main(["run", "--strategy", "frozen,periodic,adwin-hybrid", *COMMON]) == 0
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name in ("frozen", "periodic", "adwin-hybrid"):
+        assert _digests(Path("out") / name / "42") == golden[name]
+
+
 # Shuffled rows; ISO (Z, +01:00, naive, fractional) and integer-ms timestamps,
 # tied within and across formats; blank, nan, inf, 1e400 and non-numeric
 # numbers; a blank category in training and categories first seen in the
