@@ -52,9 +52,6 @@ STRATEGIES = {
 }
 QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if trigger)
 
-CORE_TILE_ROWS = 2_048  # stream rows per tree walk when a core scores the whole stream
-
-
 @dataclass
 class StrategyConfig:
     kind: str = "adwin-hybrid"
@@ -175,10 +172,7 @@ def build_core(X_train, y_train, X_stream, settings):
     ensemble = gbt.train_initial(X_train, y_train, built_for["objective"], settings.train, rng)
     rng_state = rng.bit_generator.state
     tail_scores = ensemble.predict_proba(X_train[-built_for["tail_n"] :])
-    margin = np.empty(X_stream.shape[0], dtype=np.float64)
-    for start in range(0, margin.size, CORE_TILE_ROWS):
-        tile = slice(start, start + CORE_TILE_ROWS)
-        margin[tile] = ensemble.predict_margin(X_stream[tile])
+    margin = ensemble.predict_margin(X_stream)
     margin.flags.writeable = tail_scores.flags.writeable = False
     return FrozenCore(ensemble, rng_state, margin, tail_scores, built_for)
 
@@ -222,7 +216,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     rng = np.random.default_rng()  # this run's own generator, in the post-training state
     rng.bit_generator.state = core.rng_state
     ensemble = replace(core.ensemble, rng=rng)
-    core_trees = ensemble.n_trees  # a batch walks only the trees after these
+    core_trees = ensemble.n_trees  # a batch scores only the trees after these
 
     tail_labels = y_train[-built_for["tail_n"] :]
     theta = select_threshold(

@@ -42,22 +42,6 @@ class AdwinDetector:
     def mean(self):
         return self.total_sum / self.total_count if self.total_count else 0.0
 
-    def bucket_counts(self):
-        """Bucket sizes oldest-first (the window's temporal resolution)."""
-        out = []
-        for r in range(len(self.rows) - 1, -1, -1):
-            out.extend([1 << r] * len(self.rows[r]))
-        return out
-
-    def recount(self):
-        """(count, sum) recomputed from the buckets, for consistency checks."""
-        count = 0
-        total = 0.0
-        for r, row in enumerate(self.rows):
-            count += (1 << r) * len(row)
-            total += math.fsum(row)
-        return count, total
-
     def update(self, values):
         """Insert a batch of values in [0, 1] (a bare float is a batch of one).
 

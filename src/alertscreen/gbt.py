@@ -5,6 +5,8 @@ depth-wise over quantile-binned features, additive log-odds leaves, and
 warm-start continuation that appends new trees to a frozen prefix. Bin
 edges are computed once from the initial training matrix and reused for
 every later update so update cost stays bounded and deterministic.
+Every score comes from one QuickScorer pass over a table of the split
+tests and leaf values of all trees (``_Table.add_trees``).
 """
 
 import math
@@ -45,37 +47,162 @@ class TrainConfig:
         )
 
 
+# Elements in each temporary of one scoring tile: 1 MB of uint64 masks.
+TILE_ELEMENTS = 1 << 17
+
+
 class Tree:
-    """One regression tree as flat node arrays.
+    """One regression tree as node arrays, plus its rows for the scoring table.
 
     feature[i] >= 0 marks a split node (go left when x[feature] < threshold),
-    feature[i] == -1 marks a leaf whose additive value is value[i]. Leaves
-    point to themselves, so ``apply`` takes ``depth`` steps for every row.
+    feature[i] == -1 marks a leaf whose additive value is value[i]; node 0 is
+    the root. Leaves are numbered left to right. Per split node, in node
+    order, ``masks`` holds the leaves a row can still exit at once that
+    node's test fails: every bit set but those of its left subtree's leaves
+    (leaf j is bit j % 64 of word j // 64). ``leaf_value`` is value in leaf
+    order.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "depth")
+    __slots__ = ("feature", "threshold", "left", "right", "value", "splits", "masks", "leaf_value")
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int32)
+        self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
-        leaf = self.feature < 0
-        nodes = np.arange(leaf.size, dtype=np.int32)
-        self.left = np.where(leaf, nodes, np.asarray(left, dtype=np.int32))
-        self.right = np.where(leaf, nodes, np.asarray(right, dtype=np.int32))
-        level, self.depth = nodes[:1], 0  # breadth-first, from the root
-        while (level := level[~leaf[level]]).size:
-            level = np.concatenate([self.left[level], self.right[level]])
-            self.depth += 1
+        first_leaf = np.empty(self.feature.size, dtype=np.int64)  # leftmost leaf under each node
+        n_leaves, stack = 0, [0]
+        while stack:  # depth first, left before right, so leaves come in order
+            node = stack.pop()
+            first_leaf[node] = n_leaves
+            if self.feature[node] < 0:
+                n_leaves += 1
+            else:
+                stack += (self.right[node], self.left[node])
+        leaves = np.flatnonzero(self.feature < 0)
+        self.leaf_value = np.empty(n_leaves, dtype=np.float64)
+        self.leaf_value[first_leaf[leaves]] = self.value[leaves]
+        self.splits = np.flatnonzero(self.feature >= 0)
+        lo = first_leaf[self.left[self.splits]][:, None]
+        hi = first_leaf[self.right[self.splits]][:, None]
+        bit = np.arange(-(-n_leaves // 64) * 64)
+        kept = (bit < lo) | (bit >= hi)
+        self.masks = np.packbits(kept, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
-    def apply(self, X):
-        """Leaf value per row of X."""
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(self.depth):
-            go_left = X[rows, self.feature[node]] < self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return self.value[node]
+
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """The scoring rows of a sequence of trees, tree after tree.
+
+    Built once per tree: ``extended`` copies the rows it keeps and adds only
+    those of the new trees. ``trees`` are the tree objects the rows came
+    from, so a table is never taken for a tree list it was not built from.
+    """
+
+    trees: list
+    learning_rate: float
+    feature: np.ndarray  # per split node
+    threshold: np.ndarray
+    masks: np.ndarray  # (split nodes, words); missing words of narrower trees are all ones
+    node_start: np.ndarray  # (trees + 1,): each tree's first split row
+    leaf_value: np.ndarray  # learning_rate * leaf values, in leaf order
+    leaf_start: np.ndarray  # (trees + 1,): each tree's first leaf
+
+    def extended(self, trees):
+        """The table of ``trees``, reusing the rows of the longest shared prefix."""
+        keep = 0
+        for mine, tree in zip(self.trees, trees):
+            if mine is not tree:
+                break
+            keep += 1
+        new = trees[keep:]
+        nodes, leaves = self.node_start[keep], self.leaf_start[keep]
+        words = max([self.masks.shape[1]] + [t.masks.shape[1] for t in new])
+        masks = [self.masks[:nodes]] + [t.masks for t in new]
+        return _Table(
+            list(trees),
+            self.learning_rate,
+            np.concatenate([self.feature[:nodes]] + [t.feature[t.splits] for t in new]),
+            np.concatenate([self.threshold[:nodes]] + [t.threshold[t.splits] for t in new]),
+            np.concatenate([_widened(m, words) for m in masks]),
+            _starts(self.node_start[: keep + 1], [t.splits.size for t in new]),
+            np.concatenate(
+                [self.leaf_value[:leaves]] + [self.learning_rate * t.leaf_value for t in new]
+            ),
+            _starts(self.leaf_start[: keep + 1], [t.leaf_value.size for t in new]),
+        )
+
+    def tile_rows(self, first=0):
+        """Rows per scoring tile of trees[first:]: about TILE_ELEMENTS elements a temporary."""
+        n_masks = (self.node_start[-1] - self.node_start[first]) * self.masks.shape[1]
+        return max(1, TILE_ELEMENTS // max(n_masks, len(self.trees) - first + 1))
+
+    def add_trees(self, X, margin, first):
+        """margin plus the exit leaf values of trees[first:] on each row of X, in tree order.
+
+        QuickScorer (Lucchese et al., SIGIR 2015): every split test of every
+        tree is evaluated at once; a tree's exit leaf is the lowest bit left
+        set after ANDing the masks of its failed tests. The leaf values then
+        join the margin in one sequential cumsum per row, so each row gets
+        the float adds of ``margin += learning_rate * value`` tree by tree.
+        A tree that is a single leaf exits at its leaf 0 on every row.
+        """
+        n_trees = len(self.trees) - first
+        if n_trees == 0:
+            return margin
+        node_start = self.node_start[first:]
+        nodes = slice(node_start[0], node_start[-1])
+        feature, threshold, masks = self.feature[nodes], self.threshold[nodes], self.masks[nodes]
+        split_trees = np.flatnonzero(np.diff(node_start))
+        reduce_at = node_start[split_trees] - node_start[0]
+        leaf_start = self.leaf_start[first:-1]
+        leaf_base = leaf_start[split_trees] - 1  # the lowest-bit count below is one too high
+        tile = self.tile_rows(first)
+        for start in range(0, margin.size, tile):
+            rows = slice(start, start + tile)
+            adds = np.empty((n_trees + 1, margin[rows].size))  # tree by tree, a row per column
+            adds[0] = margin[rows]
+            adds[1:] = self.leaf_value[leaf_start, None]
+            if split_trees.size:
+                left = X[rows].T[feature] < threshold[:, None]
+                kept = np.empty(masks.shape + left.shape[1:], dtype=np.uint64)
+                np.multiply(left[:, None], _ONES, out=kept)  # a passed test keeps every leaf
+                kept |= masks[..., None]
+                exits = np.bitwise_and.reduceat(kept, reduce_at)
+                if exits.shape[1] == 1:  # at most 64 leaves a tree
+                    word, bits = 0, exits[:, 0]
+                else:
+                    word = (exits == 0).argmin(axis=1)  # the first word that holds a leaf
+                    bits = np.take_along_axis(exits, word[:, None], axis=1)[:, 0]
+                leaf = leaf_base[:, None] + 64 * word + np.bitwise_count(bits ^ (bits - _ONE))
+                adds[1 + split_trees] = self.leaf_value[leaf]
+            margin[rows] = np.cumsum(adds, axis=0)[-1]
+        return margin
+
+
+_ONE = np.uint64(1)
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_NO_ROWS = (  # a _Table's rows of no trees, from feature to leaf_start
+    np.empty(0, dtype=np.int32),
+    np.empty(0),
+    np.empty((0, 1), dtype=np.uint64),
+    np.zeros(1, dtype=np.int64),
+    np.empty(0),
+    np.zeros(1, dtype=np.int64),
+)
+
+
+def _widened(masks, words):
+    """Masks padded to ``words`` words; the bits of leaves a tree lacks stay set."""
+    if masks.shape[1] == words:
+        return masks
+    return np.pad(masks, ((0, 0), (0, words - masks.shape[1])), constant_values=_ONES)
+
+
+def _starts(kept, sizes):
+    """Offsets ``kept`` followed by those of blocks of ``sizes`` rows."""
+    return np.concatenate([kept, kept[-1] + np.cumsum(sizes, dtype=np.int64)])
 
 
 @dataclass
@@ -84,7 +211,8 @@ class BoostedEnsemble:
 
     Warm starts return a new ensemble sharing the tree prefix, so callers
     hot-swap the whole value. The generator drives subsample/colsample
-    draws and is carried across updates.
+    draws and is carried across updates. Scoring goes through a table of
+    the trees' rows, extended whenever ``trees`` has grown.
     """
 
     trees: list
@@ -95,6 +223,7 @@ class BoostedEnsemble:
     bin_edges: list
     n_features: int
     rng: np.random.Generator = field(repr=False, default=None)
+    table: _Table = field(repr=False, compare=False, default=None)
 
     @property
     def n_trees(self):
@@ -109,16 +238,21 @@ class BoostedEnsemble:
 
     def predict_margin(self, X, prefix_margin=None, prefix_trees=0):
         """Log-odds per row of X. Given ``prefix_margin``, the margin of the first
-        ``prefix_trees`` trees on X, only the later trees are walked, in order."""
+        ``prefix_trees`` trees on X, only the later trees are scored, in order."""
         X = np.asarray(X, dtype=np.float64)
         self._check_width(X)
         if prefix_margin is None:
             margin, prefix_trees = np.full(X.shape[0], self.base_score, dtype=np.float64), 0
         else:
             margin = np.array(prefix_margin, dtype=np.float64)
-        for tree in self.trees[prefix_trees:]:
-            margin += self.learning_rate * tree.apply(X)
-        return margin
+        if prefix_trees == self.n_trees:
+            return margin
+        table = self.table
+        if table is None or table.learning_rate != self.learning_rate:
+            table = _Table([], self.learning_rate, *_NO_ROWS)
+        if table.trees != self.trees:  # trees compare by identity
+            table = self.table = table.extended(self.trees)
+        return table.add_trees(X, margin, prefix_trees)
 
     def predict_proba(self, X, prefix_margin=None, prefix_trees=0):
         """Positive-class probability, strictly inside (0, 1)."""
@@ -272,7 +406,7 @@ def _boost(ensemble, X, y, objective, config, rounds):
             feats = all_feats
         tree = _grow_tree(binned, g, h, rows, feats, ensemble.bin_edges, n_bins, config)
         ensemble.trees.append(tree)
-        margin += ensemble.learning_rate * tree.apply(X)
+        margin = ensemble.predict_margin(X, margin, ensemble.n_trees - 1)
 
 
 def train_initial(X, y, objective, config, rng):

@@ -49,6 +49,24 @@ class ExhaustiveAdwin:
         return bool((diff * diff > eps_sq).any())
 
 
+def bucket_counts(detector):
+    """Bucket sizes oldest-first (the window's temporal resolution)."""
+    out = []
+    for r in range(len(detector.rows) - 1, -1, -1):
+        out.extend([1 << r] * len(detector.rows[r]))
+    return out
+
+
+def recount(detector):
+    """(count, sum) recomputed from a detector's buckets, for consistency checks."""
+    count = 0
+    total = 0.0
+    for r, row in enumerate(detector.rows):
+        count += (1 << r) * len(row)
+        total += math.fsum(row)
+    return count, total
+
+
 class SequentialAdwin:
     """The bucketed detector, inserting and checking one value at a time.
 
@@ -74,22 +92,6 @@ class SequentialAdwin:
     @property
     def mean(self):
         return self.total_sum / self.total_count if self.total_count else 0.0
-
-    def bucket_counts(self):
-        """Bucket sizes oldest-first (the window's temporal resolution)."""
-        out = []
-        for r in range(len(self.rows) - 1, -1, -1):
-            out.extend([1 << r] * len(self.rows[r]))
-        return out
-
-    def recount(self):
-        """(count, sum) recomputed from the buckets, for consistency checks."""
-        count = 0
-        total = 0.0
-        for r, row in enumerate(self.rows):
-            count += (1 << r) * len(row)
-            total += math.fsum(row)
-        return count, total
 
     def update(self, value):
         """Insert one value in [0, 1]; True when the window shrank."""
@@ -263,6 +265,27 @@ def reference_threshold(scores, labels, policy, grid_points, min_recall):
         if f1_and_recall(theta)[1] >= floor:
             return float(theta)
     raise AssertionError("the max-F1 theta always meets the recall floor")
+
+
+def reference_margin(ensemble, X, prefix_margin=None, prefix_trees=0):
+    """Margin by walking each tree from its root to a leaf, one tree after another.
+
+    ``BoostedEnsemble.predict_margin`` must equal this bit for bit: each row
+    gets ``margin += learning_rate * value`` of its exit leaf, tree by tree.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if prefix_margin is None:
+        margin, prefix_trees = np.full(X.shape[0], ensemble.base_score), 0
+    else:
+        margin = np.array(prefix_margin, dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    for tree in ensemble.trees[prefix_trees:]:
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while (split := tree.feature[node] >= 0).any():
+            go_left = X[rows, tree.feature[node]] < tree.threshold[node]
+            node = np.where(split, np.where(go_left, tree.left[node], tree.right[node]), node)
+        margin += ensemble.learning_rate * tree.value[node]
+    return margin
 
 
 def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):

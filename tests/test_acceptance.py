@@ -12,6 +12,7 @@ import pytest
 from conftest import first_detection, gaussian_splits
 from oracles import (
     ExhaustiveAdwin,
+    bucket_counts,
     focal_fd_grad_hess,
     oracle_select,
     pure_prediction_trace,
@@ -149,7 +150,7 @@ def test_adwin_equivalence():
                 np.arange(n) < shift_at, rng.beta(2.0, 8.0, n), rng.beta(8.0, 2.0, n)
             )
         first_b, bucketed = first_detection(values, delta=0.002)
-        granularity = max(bucketed.bucket_counts())
+        granularity = max(bucket_counts(bucketed))
         exhaustive = ExhaustiveAdwin(delta=0.002)
         first_e = None
         for i, v in enumerate(values):

@@ -8,7 +8,6 @@ from oracles import SequentialAdwin, pure_prediction_trace, reference_threshold
 
 from alertscreen import gbt
 from alertscreen.controller import (
-    CORE_TILE_ROWS,
     STRATEGIES,
     RunSettings,
     StrategyConfig,
@@ -431,8 +430,10 @@ def _assert_same_run(a, b):
 
 
 def test_grid_streams_cross_core_tiles():
-    assert GRID_STREAMS[7][0] > CORE_TILE_ROWS and CORE_TILE_ROWS % 7
-    assert GRID_STREAMS[1_000][0] > CORE_TILE_ROWS and CORE_TILE_ROWS % 1_000
+    # rows per tile of each core's one pass over its stream
+    tiles = {size: _unused_core(size).ensemble.table.tile_rows() for size in (7, 1_000)}
+    assert all(GRID_STREAMS[size][0] > tile for size, tile in tiles.items())
+    assert any(tile % size for size, tile in tiles.items())  # a batch straddles two tiles
 
 
 @pytest.mark.parametrize("batch_size", list(GRID_STREAMS))

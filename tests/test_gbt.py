@@ -1,6 +1,9 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from oracles import brute_force_best_split
+from oracles import brute_force_best_split, reference_margin
 
 from alertscreen.gbt import (
     BoostedEnsemble,
@@ -237,3 +240,51 @@ def test_warm_start_rejects_empty_batch():
     with pytest.raises(ValueError):
         warm_start_update(ens, np.zeros((0, 2)), np.zeros(0, dtype=int), Objective(), TrainConfig())
 
+
+
+GRID_DEPTHS = [0, 1, 3, 6, 8]
+
+
+@functools.cache
+def _grid_ensemble(max_depth):
+    """Trees of ``max_depth`` on a wide random set, with depth-0 trees mixed in."""
+    rng = np.random.default_rng(max_depth)
+    X = rng.normal(size=(2_000, 12))
+    X[:, :3] = np.round(X[:, :3], 1)  # ties, so thresholds land on midpoints
+    X[:, 3] = rng.choice([-1.0, 1.0], 2_000)  # a threshold of exactly 0.0
+    y = (rng.random(2_000) < 0.3).astype(np.int64)
+    cfg = TrainConfig(
+        initial_rounds=4, rounds_per_update=3, max_depth=max_depth, min_child_weight=0.0
+    )
+    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(max_depth))
+    ens = warm_start_update(ens, X[:200], y[:200], Objective(), replace(cfg, max_depth=0)).ensemble
+    return warm_start_update(ens, X[200:400], y[200:400], Objective(), cfg).ensemble
+
+
+def _hard_rows(ens, n, seed):
+    """Rows whose cells are often NaN, +-inf, -0.0, 0.0 or exactly a split threshold."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, ens.n_features))
+    special = rng.random(X.shape) < 0.15
+    X[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], special.sum())
+    splits = [(f, t) for tree in ens.trees for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+    for row in np.flatnonzero(rng.random(n) < 0.5) if splits else ():
+        for k in rng.choice(len(splits), size=3):
+            X[row, splits[k][0]] = splits[k][1]
+    return X
+
+
+@pytest.mark.parametrize("n_rows", ["0", "1", "7", "tile-crossing"])
+@pytest.mark.parametrize("max_depth", GRID_DEPTHS)
+def test_predict_margin_equals_the_per_tree_walk_bit_for_bit(max_depth, n_rows):
+    ens = _grid_ensemble(max_depth)
+    assert any(tree.feature.size == 1 for tree in ens.trees)
+    if max_depth == 8:  # more than one mask word
+        assert max(tree.leaf_value.size for tree in ens.trees) > 64
+    n = 2 * ens.table.tile_rows() + 3 if n_rows == "tile-crossing" else int(n_rows)
+    X = _hard_rows(ens, n, seed=max_depth)
+    want = reference_margin(ens, X).view(np.int64)
+    assert np.array_equal(ens.predict_margin(X).view(np.int64), want)
+    for k in range(ens.n_trees + 1):
+        prefix = reference_margin(replace(ens, trees=ens.trees[:k]), X)
+        assert np.array_equal(ens.predict_margin(X, prefix, k).view(np.int64), want), k
