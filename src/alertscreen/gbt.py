@@ -56,14 +56,19 @@ class Tree:
 
     feature[i] >= 0 marks a split node (go left when x[feature] < threshold),
     feature[i] == -1 marks a leaf whose additive value is value[i]; node 0 is
-    the root. Leaves are numbered left to right. Per split node, in node
-    order, ``masks`` holds the leaves a row can still exit at once that
-    node's test fails: every bit set but those of its left subtree's leaves
-    (leaf j is bit j % 64 of word j // 64). ``leaf_value`` is value in leaf
-    order.
+    the root. Leaves are numbered left to right and ``leaf_value`` is value
+    in leaf order. A split node's mask has every leaf bit set but those of
+    its left subtree (leaf j is bit j % 64 of word j // 64). The tree's
+    table rows are the mask words with a bit cleared, grouped by word, so
+    each word of the tree has a row; a word that holds only the last leaf
+    gets one all-ones row. ``rows`` holds (feature, threshold, mask word)
+    per row, ``words`` the word numbers and ``word_rows`` the row count of
+    each word.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "splits", "masks", "leaf_value")
+    __slots__ = (
+        "feature", "threshold", "left", "right", "value", "leaf_value", "rows", "words", "word_rows"
+    )
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.int32)
@@ -83,12 +88,23 @@ class Tree:
         leaves = np.flatnonzero(self.feature < 0)
         self.leaf_value = np.empty(n_leaves, dtype=np.float64)
         self.leaf_value[first_leaf[leaves]] = self.value[leaves]
-        self.splits = np.flatnonzero(self.feature >= 0)
-        lo = first_leaf[self.left[self.splits]][:, None]
-        hi = first_leaf[self.right[self.splits]][:, None]
-        bit = np.arange(-(-n_leaves // 64) * 64)
-        kept = (bit < lo) | (bit >= hi)
-        self.masks = np.packbits(kept, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+        splits = np.flatnonzero(self.feature >= 0)
+        lo = first_leaf[self.left[splits]]  # a split's left subtree holds leaves [lo, hi)
+        hi = first_leaf[self.right[splits]]
+        node = np.repeat(np.arange(splits.size), (hi - 1) // 64 - lo // 64 + 1)  # a row per word
+        word = np.arange(node.size) - np.searchsorted(node, node) + lo[node] // 64
+        order = np.argsort(word, kind="stable")
+        node, word = node[order], word[order]
+        start = np.maximum(lo[node] - 64 * word, 0)  # the word's bits [start, stop) are cleared
+        stop = np.minimum(hi[node] - 64 * word, 64)
+        if n_leaves % 64 == 1 and splits.size:  # a word of only the last leaf, in no left subtree
+            node, word = np.append(node, 0), np.append(word, n_leaves // 64)
+            start, stop = np.append(start, 0), np.append(stop, 0)  # a row that clears nothing
+        mask = ~(_LOW_BITS[stop] ^ _LOW_BITS[start])
+        self.rows = (self.feature[splits[node]], self.threshold[splits[node]], mask)
+        word_rows = np.bincount(word)
+        self.words = np.flatnonzero(word_rows)
+        self.word_rows = word_rows[self.words]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +114,17 @@ class _Table:
     Built once per tree: ``extended`` copies the rows it keeps and adds only
     those of the new trees. ``trees`` are the tree objects the rows came
     from, so a table is never taken for a tree list it was not built from.
+    A tree's rows come word by word; each word's AND is one group.
     """
 
     trees: list
-    learning_rate: float
-    feature: np.ndarray  # per split node
+    feature: np.ndarray  # per row
     threshold: np.ndarray
-    masks: np.ndarray  # (split nodes, words); missing words of narrower trees are all ones
-    node_start: np.ndarray  # (trees + 1,): each tree's first split row
-    leaf_value: np.ndarray  # learning_rate * leaf values, in leaf order
+    mask: np.ndarray
+    word: np.ndarray  # per group: the word of its tree it covers
+    group_start: np.ndarray  # (groups + 1,): each group's first row
+    tree_start: np.ndarray  # (trees + 1,): each tree's first group
+    leaf_value: np.ndarray  # in leaf order
     leaf_start: np.ndarray  # (trees + 1,): each tree's first leaf
 
     def extended(self, trees):
@@ -117,29 +135,29 @@ class _Table:
                 break
             keep += 1
         new = trees[keep:]
-        nodes, leaves = self.node_start[keep], self.leaf_start[keep]
-        words = max([self.masks.shape[1]] + [t.masks.shape[1] for t in new])
-        masks = [self.masks[:nodes]] + [t.masks for t in new]
+        groups, leaves = self.tree_start[keep], self.leaf_start[keep]
+        rows = self.group_start[groups]
+        prefix = (self.feature[:rows], self.threshold[:rows], self.mask[:rows])
+        feature, threshold, mask = (np.concatenate(c) for c in zip(prefix, *(t.rows for t in new)))
         return _Table(
             list(trees),
-            self.learning_rate,
-            np.concatenate([self.feature[:nodes]] + [t.feature[t.splits] for t in new]),
-            np.concatenate([self.threshold[:nodes]] + [t.threshold[t.splits] for t in new]),
-            np.concatenate([_widened(m, words) for m in masks]),
-            _starts(self.node_start[: keep + 1], [t.splits.size for t in new]),
-            np.concatenate(
-                [self.leaf_value[:leaves]] + [self.learning_rate * t.leaf_value for t in new]
-            ),
+            feature,
+            threshold,
+            mask,
+            np.concatenate([self.word[:groups]] + [t.words for t in new]),
+            _starts(self.group_start[: groups + 1], [n for t in new for n in t.word_rows]),
+            _starts(self.tree_start[: keep + 1], [t.words.size for t in new]),
+            np.concatenate([self.leaf_value[:leaves]] + [t.leaf_value for t in new]),
             _starts(self.leaf_start[: keep + 1], [t.leaf_value.size for t in new]),
         )
 
     def tile_rows(self, first=0):
-        """Rows per scoring tile of trees[first:]: about TILE_ELEMENTS elements a temporary."""
-        n_masks = (self.node_start[-1] - self.node_start[first]) * self.masks.shape[1]
-        return max(1, TILE_ELEMENTS // max(n_masks, len(self.trees) - first + 1))
+        """Rows of X per scoring tile of trees[first:]: about TILE_ELEMENTS elements each."""
+        n_rows = self.group_start[-1] - self.group_start[self.tree_start[first]]
+        return max(1, TILE_ELEMENTS // max(n_rows, len(self.trees) - first + 1))
 
-    def add_trees(self, X, margin, first):
-        """margin plus the exit leaf values of trees[first:] on each row of X, in tree order.
+    def add_trees(self, X, margin, first, learning_rate):
+        """margin plus learning_rate times each row's exit leaf value in trees[first:].
 
         QuickScorer (Lucchese et al., SIGIR 2015): every split test of every
         tree is evaluated at once; a tree's exit leaf is the lowest bit left
@@ -151,53 +169,53 @@ class _Table:
         n_trees = len(self.trees) - first
         if n_trees == 0:
             return margin
-        node_start = self.node_start[first:]
-        nodes = slice(node_start[0], node_start[-1])
-        feature, threshold, masks = self.feature[nodes], self.threshold[nodes], self.masks[nodes]
-        split_trees = np.flatnonzero(np.diff(node_start))
-        reduce_at = node_start[split_trees] - node_start[0]
-        leaf_start = self.leaf_start[first:-1]
-        leaf_base = leaf_start[split_trees] - 1  # the lowest-bit count below is one too high
+        value = learning_rate * self.leaf_value  # the walk's learning_rate * value products
+        leaf_start = self.leaf_start[first:]
+        tree_start = self.tree_start[first:]
+        group_start = self.group_start[tree_start[0] :]
+        own = slice(group_start[0], group_start[-1])
+        feature, threshold, mask = self.feature[own], self.threshold[own], self.mask[own]
+        reduce_at = group_start[:-1] - group_start[0]
+        split_trees = np.flatnonzero(np.diff(tree_start))
+        leaf_base = leaf_start[split_trees, None] - 1  # pos below counts from 1
+        several_words = reduce_at.size > split_trees.size  # a tree of more than 64 leaves
+        if several_words:  # such a tree exits in its first word with a bit set
+            shift = 64 * self.word[tree_start[0] :, None]
+            first_word = tree_start[split_trees] - tree_start[0]
         tile = self.tile_rows(first)
         for start in range(0, margin.size, tile):
             rows = slice(start, start + tile)
             adds = np.empty((n_trees + 1, margin[rows].size))  # tree by tree, a row per column
             adds[0] = margin[rows]
-            adds[1:] = self.leaf_value[leaf_start, None]
+            adds[1:] = value[leaf_start[:-1], None]
             if split_trees.size:
                 left = X[rows].T[feature] < threshold[:, None]
-                kept = np.empty(masks.shape + left.shape[1:], dtype=np.uint64)
-                np.multiply(left[:, None], _ONES, out=kept)  # a passed test keeps every leaf
-                kept |= masks[..., None]
+                kept = np.multiply(left, _ONES)  # a passed test keeps every leaf
+                kept |= mask[:, None]
                 exits = np.bitwise_and.reduceat(kept, reduce_at)
-                if exits.shape[1] == 1:  # at most 64 leaves a tree
-                    word, bits = 0, exits[:, 0]
-                else:
-                    word = (exits == 0).argmin(axis=1)  # the first word that holds a leaf
-                    bits = np.take_along_axis(exits, word[:, None], axis=1)[:, 0]
-                leaf = leaf_base[:, None] + 64 * word + np.bitwise_count(bits ^ (bits - _ONE))
-                adds[1 + split_trees] = self.leaf_value[leaf]
+                pos = np.bitwise_count(exits ^ (exits - _ONE))  # 1 + the lowest set bit's index
+                if several_words:
+                    pos = np.where(exits > 0, pos + shift, _NO_LEAF)
+                    pos = np.minimum.reduceat(pos, first_word)
+                adds[1 + split_trees] = value[leaf_base + pos]
             margin[rows] = np.cumsum(adds, axis=0)[-1]
         return margin
 
 
 _ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # bits [0, k) set
+_NO_LEAF = np.iinfo(np.int64).max  # the position of an empty word: above every leaf
 _NO_ROWS = (  # a _Table's rows of no trees, from feature to leaf_start
     np.empty(0, dtype=np.int32),
     np.empty(0),
-    np.empty((0, 1), dtype=np.uint64),
+    np.empty(0, dtype=np.uint64),
+    np.empty(0, dtype=np.int64),
+    np.zeros(1, dtype=np.int64),
     np.zeros(1, dtype=np.int64),
     np.empty(0),
     np.zeros(1, dtype=np.int64),
 )
-
-
-def _widened(masks, words):
-    """Masks padded to ``words`` words; the bits of leaves a tree lacks stay set."""
-    if masks.shape[1] == words:
-        return masks
-    return np.pad(masks, ((0, 0), (0, words - masks.shape[1])), constant_values=_ONES)
 
 
 def _starts(kept, sizes):
@@ -247,12 +265,10 @@ class BoostedEnsemble:
             margin = np.array(prefix_margin, dtype=np.float64)
         if prefix_trees == self.n_trees:
             return margin
-        table = self.table
-        if table is None or table.learning_rate != self.learning_rate:
-            table = _Table([], self.learning_rate, *_NO_ROWS)
+        table = _Table([], *_NO_ROWS) if self.table is None else self.table
         if table.trees != self.trees:  # trees compare by identity
             table = self.table = table.extended(self.trees)
-        return table.add_trees(X, margin, prefix_trees)
+        return table.add_trees(X, margin, prefix_trees, self.learning_rate)
 
     def predict_proba(self, X, prefix_margin=None, prefix_trees=0):
         """Positive-class probability, strictly inside (0, 1)."""

@@ -242,27 +242,57 @@ def test_warm_start_rejects_empty_batch():
 
 
 
-GRID_DEPTHS = [0, 1, 3, 6, 8]
+# trained at these max_depth values, or built by hand as chains or random shapes
+GRID_ENSEMBLES = [0, 1, 3, 6, 8, "right-chain", "left-chain", "random"]
+
+
+def _random_tree(rng, n_leaves, n_features, shape):
+    """A tree of ``n_leaves`` leaves: a chain that goes right or left, or random splits."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(k):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(float(rng.choice([-1.0, 0.0, 0.5])))
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))
+        if k > 1:
+            n_left = {"right-chain": 1, "left-chain": k - 1}.get(shape) or rng.integers(1, k)
+            feature[node] = int(rng.integers(n_features))
+            left[node] = grow(n_left)
+            right[node] = grow(k - n_left)
+        return node
+
+    grow(n_leaves)
+    return Tree(feature, threshold, left, right, value)
 
 
 @functools.cache
-def _grid_ensemble(max_depth):
-    """Trees of ``max_depth`` on a wide random set, with depth-0 trees mixed in."""
-    rng = np.random.default_rng(max_depth)
+def _grid_ensemble(case):
+    """Trees of depth ``case`` trained on a wide random set, with depth-0 trees mixed
+    in; or hand-built trees of 1 to 200 leaves in the shape ``case``."""
+    if isinstance(case, str):  # 65 and 129 leaves leave the last leaf alone in its word
+        rng = np.random.default_rng(GRID_ENSEMBLES.index(case))
+        ens = _empty_ensemble(n_features=4, base_score=-2.0)
+        for n_leaves in [1, 129, 2, 64, 1, 128, 200, 3, 65]:  # trees[-1:] is a 65-leaf tree alone
+            ens.trees.append(_random_tree(rng, n_leaves, 4, case))
+        ens.predict_margin(np.zeros((0, 4)))  # builds the table, as training does
+        return ens
+    rng = np.random.default_rng(case)
     X = rng.normal(size=(2_000, 12))
     X[:, :3] = np.round(X[:, :3], 1)  # ties, so thresholds land on midpoints
     X[:, 3] = rng.choice([-1.0, 1.0], 2_000)  # a threshold of exactly 0.0
     y = (rng.random(2_000) < 0.3).astype(np.int64)
-    cfg = TrainConfig(
-        initial_rounds=4, rounds_per_update=3, max_depth=max_depth, min_child_weight=0.0
-    )
-    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(max_depth))
+    cfg = TrainConfig(initial_rounds=4, rounds_per_update=3, max_depth=case, min_child_weight=0.0)
+    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(case))
     ens = warm_start_update(ens, X[:200], y[:200], Objective(), replace(cfg, max_depth=0)).ensemble
     return warm_start_update(ens, X[200:400], y[200:400], Objective(), cfg).ensemble
 
 
 def _hard_rows(ens, n, seed):
-    """Rows whose cells are often NaN, +-inf, -0.0, 0.0 or exactly a split threshold."""
+    """Rows whose cells are often NaN, +-inf, -0.0, 0.0 or exactly a split threshold;
+    every seventh row is +inf throughout, so it exits at each tree's last leaf."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, ens.n_features))
     special = rng.random(X.shape) < 0.15
@@ -271,18 +301,19 @@ def _hard_rows(ens, n, seed):
     for row in np.flatnonzero(rng.random(n) < 0.5) if splits else ():
         for k in rng.choice(len(splits), size=3):
             X[row, splits[k][0]] = splits[k][1]
+    X[::7] = np.inf
     return X
 
 
 @pytest.mark.parametrize("n_rows", ["0", "1", "7", "tile-crossing"])
-@pytest.mark.parametrize("max_depth", GRID_DEPTHS)
-def test_predict_margin_equals_the_per_tree_walk_bit_for_bit(max_depth, n_rows):
-    ens = _grid_ensemble(max_depth)
+@pytest.mark.parametrize("case", GRID_ENSEMBLES)
+def test_predict_margin_equals_the_per_tree_walk_bit_for_bit(case, n_rows):
+    ens = _grid_ensemble(case)
     assert any(tree.feature.size == 1 for tree in ens.trees)
-    if max_depth == 8:  # more than one mask word
+    if case == 8 or isinstance(case, str):  # more than one mask word
         assert max(tree.leaf_value.size for tree in ens.trees) > 64
     n = 2 * ens.table.tile_rows() + 3 if n_rows == "tile-crossing" else int(n_rows)
-    X = _hard_rows(ens, n, seed=max_depth)
+    X = _hard_rows(ens, n, seed=GRID_ENSEMBLES.index(case))
     want = reference_margin(ens, X).view(np.int64)
     assert np.array_equal(ens.predict_margin(X).view(np.int64), want)
     for k in range(ens.n_trees + 1):
