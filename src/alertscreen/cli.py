@@ -142,11 +142,17 @@ def _write_run_dir(run_dir, cfg, strategy, seed, result):
         shutil.rmtree(tmp_dir, ignore_errors=True)
 
 
-def _summary_text(endpoint_maps):
+def _write_summary(strat_dir, endpoint_maps):
+    """Write a strategy's multi-seed summary.txt and return its text."""
     pairs = [("seeds", len(endpoint_maps))]
     for key, (median, iqr) in multiseed_summary(endpoint_maps).items():
         pairs += [(f"{key}.median", median), (f"{key}.iqr", iqr)]
-    return write_pairs(pairs)
+    text = write_pairs(pairs)
+    try:
+        (strat_dir / "summary.txt").write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the summary: {exc}") from exc
+    return text
 
 
 def cmd_run(args):
@@ -192,9 +198,7 @@ def cmd_run(args):
                 f"queries={result.endpoints.queries} updates={result.endpoints.updates} "
                 f"query-rate={100.0 * result.endpoints.realized_query_rate:.2f}%"
             )
-        (out_root / strategy / "summary.txt").write_text(
-            _summary_text(endpoint_maps), encoding="utf-8"
-        )
+        _write_summary(out_root / strategy, endpoint_maps)
     return 0
 
 
@@ -272,8 +276,7 @@ def cmd_summarize(args):
             endpoint_maps.append(asdict(endpoints))
         if not endpoint_maps:
             raise DataError(f"no endpoint files under {strat_dir}")
-        text = _summary_text(endpoint_maps)
-        (strat_dir / "summary.txt").write_text(text, encoding="utf-8")
+        text = _write_summary(strat_dir, endpoint_maps)
         print(f"[{strategy}]")
         print(text, end="")
     return 0

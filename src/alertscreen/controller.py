@@ -124,14 +124,11 @@ class RunSettings:
 
 @dataclass
 class RunLedger:
-    """Query/update accounting: the budget invariants and the label counts of the endpoints."""
+    """Query/update accounting: trigger and update events, and the label counts of the endpoints."""
 
     trigger_events: list = field(default_factory=list)
     update_events: list = field(default_factory=list)
-    per_trigger_sizes: list = field(default_factory=list)
     queried_ids: list = field(default_factory=list)
-    pending_before_trigger: list = field(default_factory=list)
-    max_pending_after_check: int = 0
     applied_pos: int = 0  # oracle labels applied by warm starts, per class
     applied_neg: int = 0
     replayed: int = 0  # replayed rows mixed into warm starts
@@ -279,11 +276,9 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             if eligible.size:
                 batch = select_query_batch(scores[eligible], theta, budget, acquisition_policy, rng)
                 ids = eligible[batch.indices].tolist()
-                ledger.pending_before_trigger.append(len(pending))
                 queried[ids] = True
                 pending.extend(ids)
                 ledger.queried_ids.extend(ids)
-                ledger.per_trigger_sizes.append(len(ids))
                 ledger.trigger_events.append(end)
                 trigger_fired = 1
 
@@ -313,7 +308,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             update_fired = 1
             pending.clear()
             cooldown = strat.cooldown_events
-        ledger.max_pending_after_check = max(ledger.max_pending_after_check, len(pending))
 
         cooldown = max(cooldown - (end - start), 0)
 

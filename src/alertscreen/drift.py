@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+# M: the most buckets a row keeps; one more merges its two oldest
+MAX_BUCKETS_PER_ROW = 5
 # steps checked per array pass: bounds the (steps x buckets) arrays of a long batch
 _BLOCK_STEPS = 1024
 
@@ -24,11 +26,10 @@ _BLOCK_STEPS = 1024
 class AdwinDetector:
     """Score-shift detector; one instance per run, single-threaded."""
 
-    def __init__(self, delta, max_buckets_per_row=5):
+    def __init__(self, delta):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         self.delta = delta
-        self.max_buckets_per_row = max_buckets_per_row
         # rows[r] lists bucket sums oldest-first; each covers 2**r values
         self.rows = [[]]
         self.total_count = 0
@@ -78,7 +79,7 @@ class AdwinDetector:
         as of that step and returns its index, or as of the last step and
         returns None.
         """
-        m = self.max_buckets_per_row
+        m = MAX_BUCKETS_PER_ROW
         steps = np.arange(values.size)
         slots = np.arange(m)[:, None]
         arrivals, incoming = steps, values  # arrival steps and sums of the current row

@@ -6,7 +6,7 @@ warm-start continuation that appends new trees to a frozen prefix. Bin
 edges are computed once from the initial training matrix and reused for
 every later update so update cost stays bounded and deterministic.
 Every score comes from one QuickScorer pass over a table of the split
-tests and leaf values of all trees (``_Table.add_trees``).
+tests and leaf values of the trees it scores (``_Table.add_trees``).
 """
 
 import math
@@ -111,10 +111,9 @@ class Tree:
 class _Table:
     """The scoring rows of a sequence of trees, tree after tree.
 
-    Built once per tree: ``extended`` copies the rows it keeps and adds only
-    those of the new trees. ``trees`` are the tree objects the rows came
-    from, so a table is never taken for a tree list it was not built from.
-    A tree's rows come word by word; each word's AND is one group.
+    ``trees`` are the tree objects the rows came from, so a table is never
+    taken for a tree list it was not built from. A tree's rows come word by
+    word; each word's AND is one group.
     """
 
     trees: list
@@ -127,37 +126,28 @@ class _Table:
     leaf_value: np.ndarray  # in leaf order
     leaf_start: np.ndarray  # (trees + 1,): each tree's first leaf
 
-    def extended(self, trees):
-        """The table of ``trees``, reusing the rows of the longest shared prefix."""
-        keep = 0
-        for mine, tree in zip(self.trees, trees):
-            if mine is not tree:
-                break
-            keep += 1
-        new = trees[keep:]
-        groups, leaves = self.tree_start[keep], self.leaf_start[keep]
-        rows = self.group_start[groups]
-        prefix = (self.feature[:rows], self.threshold[:rows], self.mask[:rows])
-        feature, threshold, mask = (np.concatenate(c) for c in zip(prefix, *(t.rows for t in new)))
-        return _Table(
+    @classmethod
+    def of(cls, trees):
+        """The table of a non-empty sequence of trees."""
+        feature, threshold, mask = (np.concatenate(c) for c in zip(*(t.rows for t in trees)))
+        return cls(
             list(trees),
             feature,
             threshold,
             mask,
-            np.concatenate([self.word[:groups]] + [t.words for t in new]),
-            _starts(self.group_start[: groups + 1], [n for t in new for n in t.word_rows]),
-            _starts(self.tree_start[: keep + 1], [t.words.size for t in new]),
-            np.concatenate([self.leaf_value[:leaves]] + [t.leaf_value for t in new]),
-            _starts(self.leaf_start[: keep + 1], [t.leaf_value.size for t in new]),
+            np.concatenate([t.words for t in trees]),
+            _starts([n for t in trees for n in t.word_rows]),
+            _starts([t.words.size for t in trees]),
+            np.concatenate([t.leaf_value for t in trees]),
+            _starts([t.leaf_value.size for t in trees]),
         )
 
-    def tile_rows(self, first=0):
-        """Rows of X per scoring tile of trees[first:]: about TILE_ELEMENTS elements each."""
-        n_rows = self.group_start[-1] - self.group_start[self.tree_start[first]]
-        return max(1, TILE_ELEMENTS // max(n_rows, len(self.trees) - first + 1))
+    def tile_rows(self):
+        """Rows of X per scoring tile: about TILE_ELEMENTS elements each."""
+        return max(1, TILE_ELEMENTS // max(self.feature.size, len(self.trees) + 1))
 
-    def add_trees(self, X, margin, first, learning_rate):
-        """margin plus learning_rate times each row's exit leaf value in trees[first:].
+    def add_trees(self, X, margin, learning_rate):
+        """margin plus learning_rate times each row's exit leaf value in every tree.
 
         QuickScorer (Lucchese et al., SIGIR 2015): every split test of every
         tree is evaluated at once; a tree's exit leaf is the lowest bit left
@@ -166,37 +156,25 @@ class _Table:
         the float adds of ``margin += learning_rate * value`` tree by tree.
         A tree that is a single leaf exits at its leaf 0 on every row.
         """
-        n_trees = len(self.trees) - first
-        if n_trees == 0:
-            return margin
         value = learning_rate * self.leaf_value  # the walk's learning_rate * value products
-        leaf_start = self.leaf_start[first:]
-        tree_start = self.tree_start[first:]
-        group_start = self.group_start[tree_start[0] :]
-        own = slice(group_start[0], group_start[-1])
-        feature, threshold, mask = self.feature[own], self.threshold[own], self.mask[own]
-        reduce_at = group_start[:-1] - group_start[0]
-        split_trees = np.flatnonzero(np.diff(tree_start))
-        leaf_base = leaf_start[split_trees, None] - 1  # pos below counts from 1
-        several_words = reduce_at.size > split_trees.size  # a tree of more than 64 leaves
-        if several_words:  # such a tree exits in its first word with a bit set
-            shift = 64 * self.word[tree_start[0] :, None]
-            first_word = tree_start[split_trees] - tree_start[0]
-        tile = self.tile_rows(first)
+        split_trees = np.flatnonzero(np.diff(self.tree_start))
+        leaf_base = self.leaf_start[split_trees, None] - 1  # pos below counts from 1
+        several_words = self.word.size > split_trees.size  # a tree of more than 64 leaves
+        tile = self.tile_rows()
         for start in range(0, margin.size, tile):
             rows = slice(start, start + tile)
-            adds = np.empty((n_trees + 1, margin[rows].size))  # tree by tree, a row per column
+            adds = np.empty((len(self.trees) + 1, margin[rows].size))  # trees down, X rows across
             adds[0] = margin[rows]
-            adds[1:] = value[leaf_start[:-1], None]
+            adds[1:] = value[self.leaf_start[:-1], None]
             if split_trees.size:
-                left = X[rows].T[feature] < threshold[:, None]
+                left = X[rows].T[self.feature] < self.threshold[:, None]
                 kept = np.multiply(left, _ONES)  # a passed test keeps every leaf
-                kept |= mask[:, None]
-                exits = np.bitwise_and.reduceat(kept, reduce_at)
+                kept |= self.mask[:, None]
+                exits = np.bitwise_and.reduceat(kept, self.group_start[:-1])
                 pos = np.bitwise_count(exits ^ (exits - _ONE))  # 1 + the lowest set bit's index
-                if several_words:
-                    pos = np.where(exits > 0, pos + shift, _NO_LEAF)
-                    pos = np.minimum.reduceat(pos, first_word)
+                if several_words:  # such a tree exits in its first word with a bit set
+                    pos = np.where(exits > 0, pos + 64 * self.word[:, None], _NO_LEAF)
+                    pos = np.minimum.reduceat(pos, self.tree_start[split_trees])
                 adds[1 + split_trees] = value[leaf_base + pos]
             margin[rows] = np.cumsum(adds, axis=0)[-1]
         return margin
@@ -206,21 +184,11 @@ _ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # bits [0, k) set
 _NO_LEAF = np.iinfo(np.int64).max  # the position of an empty word: above every leaf
-_NO_ROWS = (  # a _Table's rows of no trees, from feature to leaf_start
-    np.empty(0, dtype=np.int32),
-    np.empty(0),
-    np.empty(0, dtype=np.uint64),
-    np.empty(0, dtype=np.int64),
-    np.zeros(1, dtype=np.int64),
-    np.zeros(1, dtype=np.int64),
-    np.empty(0),
-    np.zeros(1, dtype=np.int64),
-)
 
 
-def _starts(kept, sizes):
-    """Offsets ``kept`` followed by those of blocks of ``sizes`` rows."""
-    return np.concatenate([kept, kept[-1] + np.cumsum(sizes, dtype=np.int64)])
+def _starts(sizes):
+    """Offsets of consecutive blocks of ``sizes`` rows, from 0 to their total."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
 
 @dataclass
@@ -229,14 +197,14 @@ class BoostedEnsemble:
 
     Warm starts return a new ensemble sharing the tree prefix, so callers
     hot-swap the whole value. The generator drives subsample/colsample
-    draws and is carried across updates. Scoring goes through a table of
-    the trees' rows, extended whenever ``trees`` has grown.
+    draws and is carried across updates. A call scores the trees after its
+    prefix from a table of exactly those trees; ``table`` keeps the last
+    one, for the next call that scores the same tree objects.
     """
 
     trees: list
     base_score: float
     learning_rate: float
-    max_depth: int
     max_trees: int
     bin_edges: list
     n_features: int
@@ -265,10 +233,10 @@ class BoostedEnsemble:
             margin = np.array(prefix_margin, dtype=np.float64)
         if prefix_trees == self.n_trees:
             return margin
-        table = _Table([], *_NO_ROWS) if self.table is None else self.table
-        if table.trees != self.trees:  # trees compare by identity
-            table = self.table = table.extended(self.trees)
-        return table.add_trees(X, margin, prefix_trees, self.learning_rate)
+        trees = self.trees[prefix_trees:]
+        if self.table is None or self.table.trees != trees:  # trees compare by identity
+            self.table = _Table.of(trees)
+        return self.table.add_trees(X, margin, self.learning_rate)
 
     def predict_proba(self, X, prefix_margin=None, prefix_trees=0):
         """Positive-class probability, strictly inside (0, 1)."""
@@ -362,41 +330,25 @@ def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weig
 
 
 def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
-    feature, threshold, left, right, value, depth = [], [], [], [], [], []
-
-    def new_node(d):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        depth.append(d)
-        return len(feature) - 1
-
-    frontier = [(new_node(0), rows)]
-    while frontier:
-        node_id, node_rows = frontier.pop(0)
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
+    frontier = [(0, 0, rows)]  # (node, depth, rows), breadth first, grown while iterated
+    for node_id, depth, node_rows in frontier:
+        node = nodes[node_id]
         best = None
-        if depth[node_id] < config.max_depth and node_rows.size >= 2:
+        if depth < config.max_depth and node_rows.size >= 2:
             best = find_best_split(
                 binned, g, h, node_rows, feat_ids, n_bins, config.l2_reg, config.min_child_weight
             )
         if best is None:
-            g_sum = g[node_rows].sum()
-            h_sum = h[node_rows].sum()
-            value[node_id] = -g_sum / (h_sum + config.l2_reg)
+            node[4] = -g[node_rows].sum() / (h[node_rows].sum() + config.l2_reg)
             continue
         f, b, _ = best
-        feature[node_id] = f
-        threshold[node_id] = float(bin_edges[f][b])
-        mask = binned[node_rows, f] <= b
-        left_id = new_node(depth[node_id] + 1)
-        right_id = new_node(depth[node_id] + 1)
-        left[node_id] = left_id
-        right[node_id] = right_id
-        frontier.append((left_id, node_rows[mask]))
-        frontier.append((right_id, node_rows[~mask]))
-    return Tree(feature, threshold, left, right, value)
+        go_left = binned[node_rows, f] <= b
+        node[:4] = f, float(bin_edges[f][b]), len(nodes), len(nodes) + 1
+        frontier += [(len(nodes), depth + 1, node_rows[go_left])]
+        frontier += [(len(nodes) + 1, depth + 1, node_rows[~go_left])]
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+    return Tree(*zip(*nodes))
 
 
 def _boost(ensemble, X, y, objective, config, rounds):
@@ -442,7 +394,6 @@ def train_initial(X, y, objective, config, rng):
         trees=[],
         base_score=math.log(prevalence / (1.0 - prevalence)),
         learning_rate=config.learning_rate,
-        max_depth=config.max_depth,
         max_trees=config.max_trees,
         bin_edges=compute_bin_edges(X, config.bins),
         n_features=X.shape[1],

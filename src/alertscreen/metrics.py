@@ -218,14 +218,6 @@ def trace_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def trace_from_csv(text):
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise ValueError("unrecognized trace header")
-    rows = [dict(zip(TRACE_COLUMNS, line.split(","))) for line in lines[1:]]
-    return [decode_fields(TraceRow, row) for row in rows]
-
-
 @dataclass
 class Endpoints:
     """Stream-end summary; sufficient to reproduce every reported number."""

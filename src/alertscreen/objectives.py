@@ -61,21 +61,6 @@ def _check_probs(p):
     return p
 
 
-def loss(p, y, objective):
-    """Per-example loss value at probability p for label y."""
-    p = _check_probs(p)
-    y = np.asarray(y, dtype=np.float64)
-    if objective.kind == "plain-logistic":
-        return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    if objective.kind == "class-weighted":
-        w = np.where(y == 1.0, objective.pos_weight, 1.0)
-        return -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    # focal: -alpha_t * (1 - p_t)^gamma * log(p_t)
-    pt = np.where(y == 1.0, p, 1.0 - p)
-    at = np.where(y == 1.0, objective.alpha, 1.0 - objective.alpha)
-    return -at * (1.0 - pt) ** objective.gamma * np.log(pt)
-
-
 def grad_hess(p, y, objective, hess_floor=None):
     """First and second derivative of the loss w.r.t. the log-odds margin.
 

@@ -8,6 +8,7 @@ unchanged as the exactness reference for the batched one.
 """
 
 import math
+from collections import namedtuple
 
 import mpmath as mp
 import numpy as np
@@ -286,6 +287,59 @@ def reference_margin(ensemble, X, prefix_margin=None, prefix_trees=0):
             node = np.where(split, np.where(go_left, tree.left[node], tree.right[node]), node)
         margin += ensemble.learning_rate * tree.value[node]
     return margin
+
+
+def loss(p, y, objective):
+    """Per-example loss value at probability p for label y: what `grad_hess` differentiates."""
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("predicted probabilities must lie strictly in (0, 1)")
+    y = np.asarray(y, dtype=np.float64)
+    if objective.kind == "plain-logistic":
+        return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    if objective.kind == "class-weighted":
+        w = np.where(y == 1.0, objective.pos_weight, 1.0)
+        return -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    # focal: -alpha_t * (1 - p_t)^gamma * log(p_t)
+    pt = np.where(y == 1.0, p, 1.0 - p)
+    at = np.where(y == 1.0, objective.alpha, 1.0 - objective.alpha)
+    return -at * (1.0 - pt) ** objective.gamma * np.log(pt)
+
+
+def trace_from_csv(text):
+    """Trace rows read back from the text of a run's trace.csv."""
+    from alertscreen.metrics import TRACE_COLUMNS, TraceRow
+    from alertscreen.schema import decode_fields
+
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+        raise ValueError("unrecognized trace header")
+    rows = [dict(zip(TRACE_COLUMNS, line.split(","))) for line in lines[1:]]
+    return [decode_fields(TraceRow, row) for row in rows]
+
+
+TraceLedger = namedtuple("TraceLedger", "trigger_sizes pending_before_trigger pending_after_batch")
+
+
+def trace_ledger(trace):
+    """Per-trigger query counts and pending label counts, derived from trace rows.
+
+    A trigger's size is the step in ``cum_queries`` on its row; the labels
+    pending after a batch are ``cum_queries`` less its value at the last
+    row whose update fired, and those before a trigger are the ones pending
+    after the batch before it.
+    """
+    sizes, before, after = [], [], []
+    queries = applied = 0  # as of the previous row
+    for row in trace:
+        if row.trigger_fired:
+            sizes.append(row.cum_queries - queries)
+            before.append(queries - applied)
+        queries = row.cum_queries
+        if row.update_fired:
+            applied = queries
+        after.append(queries - applied)
+    return TraceLedger(sizes, before, after)
 
 
 def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):

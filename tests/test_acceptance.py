@@ -17,6 +17,8 @@ from oracles import (
     oracle_select,
     pure_prediction_trace,
     recount_window,
+    trace_from_csv,
+    trace_ledger,
 )
 
 from alertscreen.cli import main
@@ -28,7 +30,6 @@ from alertscreen.metrics import (
     bayes_projection,
     fp_burden,
     positive_window_recall,
-    trace_from_csv,
     trace_to_csv,
 )
 from alertscreen.objectives import Objective, grad_hess
@@ -209,8 +210,9 @@ def test_controller_ledger_invariants(ledger_stream):
                 assert t - earlier[-1] >= settings.strategy.cooldown_events
 
         # (d) pending below the minimum batch at every update boundary entry
-        assert all(p < settings.strategy.b_min for p in result.ledger.pending_before_trigger)
-        assert result.ledger.max_pending_after_check < settings.strategy.b_min
+        pending = trace_ledger(result.trace)
+        assert all(p < settings.strategy.b_min for p in pending.pending_before_trigger)
+        assert max(pending.pending_after_batch) < settings.strategy.b_min
 
         # (e) frozen adds nothing beyond pure prediction
         if kind == "frozen":

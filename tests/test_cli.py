@@ -314,6 +314,24 @@ def test_summarize_recomputes_from_run_directories(dataset, tmp_path, capsys):
     assert "fp_per_million_benign.median=" in text
 
 
+@pytest.mark.parametrize("command", ["run", "summarize"])
+def test_unwritable_summary_is_a_config_error(dataset, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out, seed="40,41")) == 0
+    (out / "frozen" / "summary.txt").unlink()
+    (out / "frozen" / "summary.txt").mkdir()
+    cells = {p: p.read_bytes() for p in out.glob("frozen/4*/*")}
+    capsys.readouterr()
+    args = ["summarize", "--out", str(out)]
+    if command == "run":
+        args = _run_args(dataset, out, seed="40,41")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert len(cells) == 2 * len(RUN_FILES)
+    assert {p: p.read_bytes() for p in out.glob("frozen/4*/*")} == cells
+
+
 def test_summarize_missing_directory_is_a_data_error(tmp_path):
     assert main(["summarize", "--out", str(tmp_path / "nothing")]) == 2
 

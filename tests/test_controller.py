@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from conftest import gaussian_splits
-from oracles import SequentialAdwin, pure_prediction_trace, reference_threshold
+from oracles import SequentialAdwin, pure_prediction_trace, reference_threshold, trace_ledger
 
 from alertscreen import gbt
 from alertscreen.controller import (
@@ -69,8 +69,9 @@ def test_pending_accumulates_across_triggers_until_b_min():
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
-    assert result.ledger.per_trigger_sizes == [20, 20]
-    assert result.ledger.pending_before_trigger == [0, 20]
+    ledger = trace_ledger(result.trace)
+    assert ledger.trigger_sizes == [20, 20]
+    assert ledger.pending_before_trigger == [0, 20]
     assert result.endpoints.updates == 1
     assert result.ledger.update_events == [7_000]
     assert result.endpoints.queries == 40
@@ -85,7 +86,7 @@ def test_matched_replay_single_trigger_full_budget():
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
-    assert result.ledger.per_trigger_sizes == [50]
+    assert trace_ledger(result.trace).trigger_sizes == [50]
     assert result.endpoints.queries == 50
     assert result.endpoints.updates == 1
 
@@ -181,12 +182,13 @@ def test_no_query_index_repeats_and_budget_accounting():
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     ids = result.ledger.queried_ids
     assert len(ids) == len(set(ids))
-    assert result.endpoints.queries == sum(result.ledger.per_trigger_sizes)
+    ledger = trace_ledger(result.trace)
+    assert result.endpoints.queries == sum(ledger.trigger_sizes)
     applied = result.endpoints.applied_pos + result.endpoints.applied_neg
     assert applied <= result.endpoints.queries
     # any remainder still pending at stream end stays below the update batch
     assert result.endpoints.queries - applied < settings.strategy.b_min
-    assert result.ledger.max_pending_after_check < settings.strategy.b_min
+    assert max(ledger.pending_after_batch) < settings.strategy.b_min
     # online missed counter agrees with the full-stream recount
     assert result.trace[-1].cum_missed_pos == result.endpoints.cum_missed_pos
     assert result.trace[-1].cum_fp == result.endpoints.cum_fp
@@ -431,7 +433,9 @@ def _assert_same_run(a, b):
 
 def test_grid_streams_cross_core_tiles():
     # rows per tile of each core's one pass over its stream
-    tiles = {size: _unused_core(size).ensemble.table.tile_rows() for size in (7, 1_000)}
+    tiles = {
+        size: gbt._Table.of(_unused_core(size).ensemble.trees).tile_rows() for size in (7, 1_000)
+    }
     assert all(GRID_STREAMS[size][0] > tile for size, tile in tiles.items())
     assert any(tile % size for size, tile in tiles.items())  # a batch straddles two tiles
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import first_detection
 from oracles import ExhaustiveAdwin, SequentialAdwin, bucket_counts, recount
 
+from alertscreen import drift
 from alertscreen.drift import AdwinDetector
 
 
@@ -71,7 +72,7 @@ def test_memory_stays_logarithmic_in_window_width():
     det = AdwinDetector(delta=0.002)
     det.update(np.full(50_000, 0.5))
     assert det.width == 50_000
-    bound = det.max_buckets_per_row * (np.log2(det.width) + 2)
+    bound = drift.MAX_BUCKETS_PER_ROW * (np.log2(det.width) + 2)
     assert len(bucket_counts(det)) <= bound
 
 
@@ -152,12 +153,15 @@ def _sequential_run(kind, max_buckets, delta, n):
 @pytest.mark.parametrize("kind", ["bernoulli", "clipped-normal", "rounded"])
 @pytest.mark.parametrize("delta", [0.002, 0.05, 0.3])
 @pytest.mark.parametrize("max_buckets", range(1, 7))
-def test_batched_update_equals_sequential_insertion(max_buckets, delta, kind, call_size):
+def test_batched_update_equals_sequential_insertion(
+    max_buckets, delta, kind, call_size, monkeypatch
+):
     # M = 1 leaves row 0 (and other middle rows) empty under older rows
     n = 300 if call_size in (1, 2) else 1_100
     values, shrank, reference = _sequential_run(kind, max_buckets, delta, n)
     size = call_size or n
-    det = AdwinDetector(delta, max_buckets)
+    monkeypatch.setattr(drift, "MAX_BUCKETS_PER_ROW", max_buckets)  # M is read on each update
+    det = AdwinDetector(delta)
     for start in range(0, n, size):
         assert det.update(values[start : start + size]) == sum(shrank[start : start + size])
     assert sum(shrank) > 0

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import brute_force_best_split, reference_margin
+from oracles import brute_force_best_split, loss, reference_margin
 
 from alertscreen.gbt import (
     BoostedEnsemble,
     TrainConfig,
     Tree,
+    _Table,
     bin_features,
     compute_bin_edges,
     find_best_split,
@@ -34,7 +35,6 @@ def _empty_ensemble(n_features=2, base_score=0.0, lr=0.1):
         trees=[],
         base_score=base_score,
         learning_rate=lr,
-        max_depth=6,
         max_trees=500,
         bin_edges=[np.empty(0)] * n_features,
         n_features=n_features,
@@ -196,8 +196,6 @@ def test_warm_start_loss_non_increasing_on_same_batch():
     X, y = _separable_data(seed=10)
     obj = Objective()
     ens = train_initial(X, y, obj, TrainConfig(initial_rounds=20), np.random.default_rng(6))
-    from alertscreen.objectives import loss
-
     cfg = TrainConfig(rounds_per_update=1)
     prev = loss(ens.predict_proba(X), y, obj).mean()
     for _ in range(10):
@@ -277,7 +275,6 @@ def _grid_ensemble(case):
         ens = _empty_ensemble(n_features=4, base_score=-2.0)
         for n_leaves in [1, 129, 2, 64, 1, 128, 200, 3, 65]:  # trees[-1:] is a 65-leaf tree alone
             ens.trees.append(_random_tree(rng, n_leaves, 4, case))
-        ens.predict_margin(np.zeros((0, 4)))  # builds the table, as training does
         return ens
     rng = np.random.default_rng(case)
     X = rng.normal(size=(2_000, 12))
@@ -312,7 +309,7 @@ def test_predict_margin_equals_the_per_tree_walk_bit_for_bit(case, n_rows):
     assert any(tree.feature.size == 1 for tree in ens.trees)
     if case == 8 or isinstance(case, str):  # more than one mask word
         assert max(tree.leaf_value.size for tree in ens.trees) > 64
-    n = 2 * ens.table.tile_rows() + 3 if n_rows == "tile-crossing" else int(n_rows)
+    n = 2 * _Table.of(ens.trees).tile_rows() + 3 if n_rows == "tile-crossing" else int(n_rows)
     X = _hard_rows(ens, n, seed=GRID_ENSEMBLES.index(case))
     want = reference_margin(ens, X).view(np.int64)
     assert np.array_equal(ens.predict_margin(X).view(np.int64), want)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import recount_window
+from oracles import recount_window, trace_from_csv
 
 from alertscreen.metrics import (
     Endpoints,
@@ -12,7 +12,6 @@ from alertscreen.metrics import (
     multiseed_summary,
     positive_window_recall,
     realized_query_rate,
-    trace_from_csv,
     trace_to_csv,
 )
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracles import focal_fd_grad_hess
+from oracles import focal_fd_grad_hess, loss
 
-from alertscreen.objectives import Objective, grad_hess, loss, resolve_pos_weight
+from alertscreen.objectives import Objective, grad_hess, resolve_pos_weight
 
 
 def test_plain_logistic_at_half():
