@@ -132,7 +132,6 @@ class RunLedger:
     applied_pos: int = 0  # oracle labels applied by warm starts, per class
     applied_neg: int = 0
     replayed: int = 0  # replayed rows mixed into warm starts
-    schedule_skipped_beyond_end: int = 0
     schedule_suppressed_by_cooldown: int = 0
 
 
@@ -330,7 +329,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
 
     beyond = sorted(t for t in schedule if t > n)
     if beyond:
-        ledger.schedule_skipped_beyond_end = len(beyond)
         logger.warning("%d scheduled trigger(s) beyond stream end ignored: %s", len(beyond), beyond)
 
     benign_count = int((y_stream == 0).sum())

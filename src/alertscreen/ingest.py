@@ -3,11 +3,11 @@
 Input is delimited text (comma, header row) plus a small key-value
 manifest naming the label column, the timestamp column, and per-column
 kind (categorical/numeric). Timestamps may be integer milliseconds or
-ISO-8601. The stream is held column-wise: each column's raw cells, each
-numeric column parsed once into floats, and label and timestamp arrays.
-Post-decision columns are removed by a global denylist before any
-features are built; all encoding statistics come from the training split
-only.
+ISO-8601. The stream is held column-wise, feature columns only: each
+categorical column's raw cells, each numeric column parsed once into
+floats, and label and timestamp arrays. Post-decision columns are
+removed by a global denylist before any feature is built; all encoding
+statistics come from the training split only.
 """
 
 import csv
@@ -67,9 +67,10 @@ class DatasetManifest:
 
 @dataclass
 class EventTable:
-    """The time-sorted stream by column: every CSV column's raw text ``cells``,
-    the float ``numbers`` of each numeric column (NaN where blank, non-numeric
-    or non-finite; the derived time-since column included), labels, timestamps.
+    """The time-sorted stream by feature column, in header order: the raw text
+    ``cells`` of each categorical column, the float ``numbers`` of each numeric
+    one (NaN where blank, non-numeric or non-finite; the derived time-since
+    column last), labels, timestamps. A column of both kinds is in both.
     """
 
     cells: dict
@@ -164,7 +165,8 @@ def parse_numeric(cells):
 def load_events(csv_path, manifest):
     """Read the alert stream and sort it chronologically, ties in file order.
 
-    The manifest's numeric columns are parsed here, and the causal
+    Only the manifest's declared columns that survive the leakage filter
+    are kept (label and timestamp are never features), and the causal
     time-since column is derived (after sorting) when the manifest asks
     for it and the dataset does not already carry the column.
     """
@@ -176,13 +178,16 @@ def load_events(csv_path, manifest):
             except StopIteration:
                 raise DataError(f"empty dataset: {csv_path}") from None
             rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset: {exc}") from exc
 
     repeated = [name for name, count in Counter(header).items() if count > 1]
     if repeated:
         raise DataError(f"dataset header repeats column(s): {', '.join(map(repr, repeated))}")
-    for col in (manifest.label_column, manifest.timestamp_column):
+    metadata = (manifest.label_column, manifest.timestamp_column)
+    derivable = {TIME_SINCE_COLUMN} if manifest.derive_time_since else set()
+    required = [c for c in (*manifest.categorical, *manifest.numeric) if c not in derivable]
+    for col in (*metadata, *required):
         if col not in header:
             raise DataError(f"dataset missing declared column: {col!r}")
     label_pos = header.index(manifest.label_column)
@@ -191,39 +196,32 @@ def load_events(csv_path, manifest):
             raise DataError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
         if row[label_pos].strip() not in ("0", "1"):
             raise DataError(f"row {row_num}: label must be 0 or 1, got {row[label_pos].strip()!r}")
+    if not rows:
+        raise DataError("dataset contains no events")
 
-    columns = list(zip(*rows)) or [()] * len(header)
-    ts_cells = columns[header.index(manifest.timestamp_column)]
+    columns = dict(zip(header, zip(*rows)))
+    ts_cells = columns[manifest.timestamp_column]
     try:
         timestamps = np.array([parse_timestamp(v) for v in ts_cells], dtype=np.int64)
     except OverflowError as exc:
         raise DataError(f"timestamp out of the int64 millisecond range: {exc}") from exc
     order = np.argsort(timestamps, kind="stable")
     timestamps = timestamps[order]
-    labels = np.array([v.strip() == "1" for v in columns[label_pos]], dtype=np.int64)[order]
-    cells = {name: np.array(col, dtype=object)[order] for name, col in zip(header, columns)}
-    numeric = set(manifest.numeric) | ({TIME_SINCE_COLUMN} if manifest.derive_time_since else set())
-    numbers = {name: parse_numeric(col) for name, col in cells.items() if name in numeric}
-    if manifest.derive_time_since and TIME_SINCE_COLUMN not in cells:
+    labels = np.array([v.strip() == "1" for v in columns[manifest.label_column]], dtype=np.int64)
+    labels = labels[order]
+
+    numeric = set(manifest.numeric) | derivable
+    kinds = {*manifest.categorical, *numeric}.difference(metadata)
+    derive = manifest.derive_time_since and TIME_SINCE_COLUMN not in columns
+    kept = [c for c in header if c in kinds] + ([TIME_SINCE_COLUMN] if derive else [])
+    kept = [c for c in apply_leakage_filter(kept) if c in columns]
+    cells = {
+        c: np.array(columns[c], dtype=object)[order] for c in kept if c in manifest.categorical
+    }
+    numbers = {c: parse_numeric(columns[c])[order] for c in kept if c in numeric}
+    if derive:
         numbers[TIME_SINCE_COLUMN] = compute_time_since(timestamps)
     return EventTable(cells, numbers, labels, timestamps)
-
-
-def resolve_feature_columns(table, manifest):
-    """Ordered (categorical, numeric) feature columns of ``table`` after filtering.
-
-    The label and timestamp columns are metadata, never features; the
-    manifest's kind declarations act as the schema for the survivors, and
-    the derived time-since column is numeric only.
-    """
-    metadata = (manifest.label_column, manifest.timestamp_column)
-    candidates = [c for c in {**table.cells, **table.numbers} if c not in metadata]
-    retained = apply_leakage_filter(candidates)
-    categorical = [c for c in retained if c in manifest.categorical and c in table.cells]
-    numeric = [c for c in retained if c in table.numbers]
-    if not categorical and not numeric:
-        raise DataError("no usable features after leakage filtering")
-    return categorical, numeric
 
 
 class Preprocessor:
@@ -330,9 +328,6 @@ def prepare_dataset(csv_path, manifest_path, train_positive_target):
     """Load, split, fit the encoder on train, and encode both partitions."""
     manifest = load_manifest(manifest_path)
     table = load_events(csv_path, manifest)
-    if not len(table):
-        raise DataError("dataset contains no events")
-    categorical, numeric = resolve_feature_columns(table, manifest)
     train, stream = chronological_split(table, train_positive_target)
-    pre = Preprocessor(categorical, numeric).fit(train)
+    pre = Preprocessor(table.cells, table.numbers).fit(train)
     return PreparedData(pre.transform(train), train.labels, pre.transform(stream), stream.labels)

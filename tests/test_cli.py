@@ -498,6 +498,16 @@ BAD_INPUTS = {
         2,
         "expected key=value",
     ),
+    "cell-beyond-csv-field-limit": (
+        lambda c, m: (c.replace("\n", "\n" + "9" * 131_073, 1).encode(), m.encode(), None),
+        2,
+        "field larger than field limit",
+    ),
+    "declared-column-not-in-header": (
+        lambda c, m: (c.encode(), m.replace("numeric=", "numeric=feat_9,").encode(), None),
+        2,
+        "missing declared column: 'feat_9'",
+    ),
 }
 
 

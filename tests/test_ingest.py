@@ -255,7 +255,8 @@ def test_loader_sorts_parses_and_derives_time_since(tmp_path):
     events = load_events(csv_path, manifest)
     assert len(events) == 3
     assert list(events.labels) == [1, 0, 0]
-    assert list(events.cells["port"]) == ["443", "22", "80"]
+    assert list(events.numbers["port"]) == [443.0, 22.0, 80.0]
+    assert list(events.cells["category"]) == ["web", "ssh", "web"]
     assert events.timestamps[1] - events.timestamps[0] == 1_000
     assert list(events.numbers["time_since_last_event"]) == [0.0, 1000.0, 1000.0]
 
@@ -271,8 +272,8 @@ def test_loader_keeps_file_order_for_tied_timestamps(tmp_path):
     rows = ["1000,0,80,web", "1000,0,22,ssh", "1000,1,443,web"]
     csv_path, manifest_path = _write_dataset(tmp_path, rows)
     events = load_events(csv_path, load_manifest(manifest_path))
-    assert list(events.cells["port"]) == ["80", "22", "443"]
     assert list(events.numbers["port"]) == [80.0, 22.0, 443.0]
+    assert list(events.cells["category"]) == ["web", "ssh", "web"]
     assert list(events.numbers["time_since_last_event"]) == [0.0, 0.0, 0.0]
 
 
@@ -286,6 +287,52 @@ def test_loader_rejects_bad_labels_and_ragged_rows(tmp_path):
     csv_path3, _ = _write_dataset(tmp_path, ["99999999999999999999,0,80,web"])
     with pytest.raises(DataError, match="int64"):
         load_events(csv_path3, load_manifest(manifest_path))
+
+
+def _write_manifest(tmp_path, categorical, numeric, derive="true"):
+    path = tmp_path / "data.manifest"
+    path.write_text(
+        "label_column=label\ntimestamp_column=timestamp\n"
+        f"categorical={categorical}\nnumeric={numeric}\nderive_time_since={derive}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_loader_keeps_only_declared_surviving_feature_columns(tmp_path):
+    header = "timestamp,label,port,notes,severity,verdict_code,category"
+    csv_path, _ = _write_dataset(tmp_path, ["1000,0,80,x,3,1,web"], header=header)
+    manifest_path = _write_manifest(tmp_path, "severity,category", "port,severity,verdict_code")
+    events = load_events(csv_path, load_manifest(manifest_path))
+    # no label, timestamp, undeclared (notes) or denylisted (verdict_code) column
+    assert list(events.cells) == ["severity", "category"]
+    assert list(events.numbers) == ["port", "severity", "time_since_last_event"]
+    assert list(events.cells["severity"]) == ["3"] and list(events.numbers["severity"]) == [3.0]
+
+
+def test_declared_column_missing_from_header_is_a_data_error(tmp_path):
+    csv_path, _ = _write_dataset(tmp_path, ["1000,0,80,web"])
+    for categorical, numeric in [("category,proto", "port"), ("category", "bytes,port")]:
+        manifest = load_manifest(_write_manifest(tmp_path, categorical, numeric))
+        with pytest.raises(DataError, match="missing declared column"):
+            load_events(csv_path, manifest)
+    # the derived time-since column may be declared without being in the file
+    manifest = load_manifest(_write_manifest(tmp_path, "category", "port,time_since_last_event"))
+    assert list(load_events(csv_path, manifest).numbers) == ["port", "time_since_last_event"]
+    manifest = load_manifest(
+        _write_manifest(tmp_path, "category", "port,time_since_last_event", derive="false")
+    )
+    with pytest.raises(DataError, match="'time_since_last_event'"):
+        load_events(csv_path, manifest)
+
+
+@pytest.mark.parametrize("numeric", ["port", "verdict"])
+def test_header_only_dataset_contains_no_events(tmp_path, numeric):
+    csv_path, _ = _write_dataset(tmp_path, [], header="timestamp,label,port,verdict")
+    # with ``verdict`` the only feature, every feature is also denylisted
+    manifest_path = _write_manifest(tmp_path, "", numeric, derive="false")
+    with pytest.raises(DataError, match="dataset contains no events"):
+        prepare_dataset(csv_path, manifest_path, 1)
 
 
 def test_manifest_round_trip(tmp_path):
