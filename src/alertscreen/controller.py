@@ -297,7 +297,13 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
                 replay.extend(pending)
                 del replay[: max(len(replay) - strat.replay_capacity, 0)]
             result = gbt.warm_start_update(
-                ensemble, X_stream[idx], y_stream[idx], objective, settings.train
+                ensemble,
+                X_stream[idx],
+                y_stream[idx],
+                objective,
+                settings.train,
+                core.margin[idx],
+                core_trees,
             )
             if result.cap_reached:
                 logger.info("tree cap reached at %d trees", result.ensemble.n_trees)

@@ -4,7 +4,9 @@ A deliberately small booster: axis-aligned regression trees grown
 depth-wise over quantile-binned features, additive log-odds leaves, and
 warm-start continuation that appends new trees to a frozen prefix. Bin
 edges are computed once from the initial training matrix and reused for
-every later update so update cost stays bounded and deterministic.
+every later update so update cost stays bounded and deterministic. A node
+whose hessian total is below twice min_child_weight is a leaf without a
+split search: no cut could give both children min_child_weight.
 Every score comes from one QuickScorer pass over a table of the split
 tests and leaf values of the trees it scores (``_Table.add_trees``).
 """
@@ -109,20 +111,25 @@ class Tree:
 
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """The scoring rows of a sequence of trees, tree after tree.
+    """The scoring rows of a sequence of trees, in blocks of equal-size groups.
 
     ``trees`` are the tree objects the rows came from, so a table is never
-    taken for a tree list it was not built from. A tree's rows come word by
-    word; each word's AND is one group.
+    taken for a tree list it was not built from. A group is the rows of one
+    word of one tree, whose AND gives that word's exits. Groups with the
+    same number of rows form a block, blocks come in order of that number
+    and groups within a block in tree order, so each block is ANDed as one
+    (groups, rows per group, X rows) array.
     """
 
     trees: list
-    feature: np.ndarray  # per row
+    feature: np.ndarray  # per row, block after block
     threshold: np.ndarray
     mask: np.ndarray
-    word: np.ndarray  # per group: the word of its tree it covers
-    group_start: np.ndarray  # (groups + 1,): each group's first row
-    tree_start: np.ndarray  # (trees + 1,): each tree's first group
+    blocks: tuple  # per block: (first row, first group, groups, rows per group)
+    group_tree: np.ndarray  # per group, in block order: the index of its tree
+    word: np.ndarray  # per group, in block order: the word of its tree it covers
+    unblock: np.ndarray  # per group in tree order: its place in block order
+    tree_start: np.ndarray  # (trees + 1,): each tree's first group in tree order
     leaf_value: np.ndarray  # in leaf order
     leaf_start: np.ndarray  # (trees + 1,): each tree's first leaf
 
@@ -130,14 +137,24 @@ class _Table:
     def of(cls, trees):
         """The table of a non-empty sequence of trees."""
         feature, threshold, mask = (np.concatenate(c) for c in zip(*(t.rows for t in trees)))
+        size = np.concatenate([t.word_rows for t in trees])  # rows per group, tree order
+        n_words = [t.words.size for t in trees]
+        order = np.argsort(size, kind="stable")  # groups in block order
+        row = np.argsort(np.repeat(size, size), kind="stable")  # rows in block order
+        count = np.bincount(size)
+        ks = np.flatnonzero(count)  # the blocks' rows per group, ascending
+        ns = count[ks]
+        first_groups, first_rows = _starts(ns), _starts(ks * ns)
         return cls(
             list(trees),
-            feature,
-            threshold,
-            mask,
-            np.concatenate([t.words for t in trees]),
-            _starts([n for t in trees for n in t.word_rows]),
-            _starts([t.words.size for t in trees]),
+            feature[row],
+            threshold[row],
+            mask[row],
+            tuple(zip(first_rows.tolist(), first_groups.tolist(), ns.tolist(), ks.tolist())),
+            np.repeat(np.arange(len(trees)), n_words)[order],
+            np.concatenate([t.words for t in trees])[order],
+            np.argsort(order),
+            _starts(n_words),
             np.concatenate([t.leaf_value for t in trees]),
             _starts([t.leaf_value.size for t in trees]),
         )
@@ -151,31 +168,37 @@ class _Table:
 
         QuickScorer (Lucchese et al., SIGIR 2015): every split test of every
         tree is evaluated at once; a tree's exit leaf is the lowest bit left
-        set after ANDing the masks of its failed tests. The leaf values then
-        join the margin in one sequential cumsum per row, so each row gets
-        the float adds of ``margin += learning_rate * value`` tree by tree.
-        A tree that is a single leaf exits at its leaf 0 on every row.
+        set after ANDing the masks of its failed tests, one reduce per block.
+        The leaf values then join the margin in one sequential cumsum per
+        row, in tree order, so each row gets the float adds of
+        ``margin += learning_rate * value`` tree by tree. A tree that is a
+        single leaf exits at its leaf 0 on every row.
         """
         value = learning_rate * self.leaf_value  # the walk's learning_rate * value products
         split_trees = np.flatnonzero(np.diff(self.tree_start))
-        leaf_base = self.leaf_start[split_trees, None] - 1  # pos below counts from 1
         several_words = self.word.size > split_trees.size  # a tree of more than 64 leaves
+        leaf_base = self.leaf_start[self.group_tree, None] - 1 + 64 * self.word[:, None]
         tile = self.tile_rows()
         for start in range(0, margin.size, tile):
             rows = slice(start, start + tile)
             adds = np.empty((len(self.trees) + 1, margin[rows].size))  # trees down, X rows across
             adds[0] = margin[rows]
             adds[1:] = value[self.leaf_start[:-1], None]
-            if split_trees.size:
+            if self.word.size:
                 left = X[rows].T[self.feature] < self.threshold[:, None]
                 kept = np.multiply(left, _ONES)  # a passed test keeps every leaf
                 kept |= self.mask[:, None]
-                exits = np.bitwise_and.reduceat(kept, self.group_start[:-1])
-                pos = np.bitwise_count(exits ^ (exits - _ONE))  # 1 + the lowest set bit's index
+                exits = np.empty((self.word.size, kept.shape[1]), dtype=np.uint64)
+                for row, group, n, k in self.blocks:
+                    block = kept[row : row + n * k].reshape(n, k, -1)
+                    np.bitwise_and.reduce(block, axis=1, out=exits[group : group + n])
+                leaf = leaf_base + np.bitwise_count(exits ^ (exits - _ONE))  # 1 + lowest set bit
                 if several_words:  # such a tree exits in its first word with a bit set
-                    pos = np.where(exits > 0, pos + 64 * self.word[:, None], _NO_LEAF)
-                    pos = np.minimum.reduceat(pos, self.tree_start[split_trees])
-                adds[1 + split_trees] = value[leaf_base + pos]
+                    leaf = np.where(exits > 0, leaf, _NO_LEAF)[self.unblock]
+                    leaf = np.minimum.reduceat(leaf, self.tree_start[split_trees])
+                    adds[1 + split_trees] = value[leaf]
+                else:
+                    adds[1 + self.group_tree] = value[leaf]
             margin[rows] = np.cumsum(adds, axis=0)[-1]
         return margin
 
@@ -183,12 +206,14 @@ class _Table:
 _ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # bits [0, k) set
-_NO_LEAF = np.iinfo(np.int64).max  # the position of an empty word: above every leaf
+_NO_LEAF = np.iinfo(np.int64).max  # the leaf of an empty word: above every leaf
 
 
 def _starts(sizes):
     """Offsets of consecutive blocks of ``sizes`` rows, from 0 to their total."""
-    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=starts[1:])
+    return starts
 
 
 @dataclass
@@ -332,15 +357,20 @@ def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weig
 def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
     frontier = [(0, 0, rows)]  # (node, depth, rows), breadth first, grown while iterated
+    # A cut needs h_left >= mcw and fl(h_total - h_left) >= mcw, so h_total >= mcw + mcw /
+    # (1 + 2**-53); below this bound find_best_split would return None.
+    min_split_hess = 2.0 * config.min_child_weight * (1.0 - 1e-12)
     for node_id, depth, node_rows in frontier:
         node = nodes[node_id]
+        h_sum = h[node_rows].sum()
         best = None
-        if depth < config.max_depth and node_rows.size >= 2:
+        if depth < config.max_depth and node_rows.size >= 2 and h_sum >= min_split_hess:
             best = find_best_split(
                 binned, g, h, node_rows, feat_ids, n_bins, config.l2_reg, config.min_child_weight
             )
         if best is None:
-            node[4] = -g[node_rows].sum() / (h[node_rows].sum() + config.l2_reg)
+            denominator = h_sum + config.l2_reg  # 0 only for a child with no rows, at l2_reg 0
+            node[4] = -g[node_rows].sum() / denominator if denominator else 0.0
             continue
         f, b, _ = best
         go_left = binned[node_rows, f] <= b
@@ -351,11 +381,11 @@ def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
     return Tree(*zip(*nodes))
 
 
-def _boost(ensemble, X, y, objective, config, rounds):
+def _boost(ensemble, X, y, objective, config, rounds, prefix_margin=None, prefix_trees=0):
     binned = bin_features(X, ensemble.bin_edges)
     n_bins = [e.size + 1 for e in ensemble.bin_edges]
     n, width = X.shape
-    margin = ensemble.predict_margin(X)
+    margin = ensemble.predict_margin(X, prefix_margin, prefix_trees)
     rng = ensemble.rng
     all_rows = np.arange(n)
     all_feats = np.arange(width)
@@ -404,12 +434,14 @@ def train_initial(X, y, objective, config, rng):
     return ensemble
 
 
-def warm_start_update(ensemble, X, y, objective, config):
+def warm_start_update(ensemble, X, y, objective, config, prefix_margin=None, prefix_trees=0):
     """Append up to rounds_per_update trees fitted to the labeled batch.
 
     Trees are fitted to gradients under the current ensemble's predictions;
-    the existing prefix is never modified. Returns a new ensemble value so
-    the caller can hot-swap it; at the tree cap this is a no-op with a
+    the existing prefix is never modified. Given ``prefix_margin``, the
+    margin of the first ``prefix_trees`` trees on X, only the later trees
+    are scored for those predictions. Returns a new ensemble value so the
+    caller can hot-swap it; at the tree cap this is a no-op with a
     cap-reached status.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -422,5 +454,5 @@ def warm_start_update(ensemble, X, y, objective, config):
         return WarmStartResult(ensemble, 0, True)
     n_new = min(config.rounds_per_update, room)
     updated = replace(ensemble, trees=list(ensemble.trees))
-    _boost(updated, X, y, objective, config, n_new)
+    _boost(updated, X, y, objective, config, n_new, prefix_margin, prefix_trees)
     return WarmStartResult(updated, n_new, updated.n_trees >= updated.max_trees)

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from alertscreen import cli, gbt
@@ -553,3 +557,15 @@ def test_trigger_schedule_byte_order_mark_is_ignored(dataset, tmp_path):
     extra = ["--strategy.trigger_schedule", str(schedule)]
     assert main(_run_args(dataset, out, strategy="matched-replay", extra=extra)) == 0
     assert (out / "matched-replay" / "42" / "triggers.txt").read_text() == "1000\n3000\n"
+
+
+def test_zero_regularisation_run_ends_with_finite_endpoints(dataset, tmp_path):
+    # at l2_reg 0 and min_child_weight 0 a cut can leave a child without rows
+    out = tmp_path / "out"
+    extra = ["--train.l2_reg", "0", "--train.min_child_weight", "0"]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the split search's 0 / 0 gains
+        assert main(_run_args(dataset, out, strategy="frozen,adwin-hybrid", extra=extra)) == 0
+    for strategy in ("frozen", "adwin-hybrid"):
+        endpoints = Endpoints.from_text((out / strategy / "42" / "endpoints.txt").read_text())
+        values = [v for v in dataclasses.astuple(endpoints) if isinstance(v, float)]
+        assert values and all(math.isfinite(v) for v in values), strategy

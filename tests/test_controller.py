@@ -243,9 +243,9 @@ def test_replay_ratio_and_capacity_bound_replayed_rows(monkeypatch, ratio, capac
     batches = []
     warm_start = gbt.warm_start_update
 
-    def recording_warm_start(ensemble, X, y, objective, config):
+    def recording_warm_start(ensemble, X, y, *args):
         batches.append(X)
-        return warm_start(ensemble, X, y, objective, config)
+        return warm_start(ensemble, X, y, *args)
 
     monkeypatch.setattr(gbt, "warm_start_update", recording_warm_start)
     settings = RunSettings(

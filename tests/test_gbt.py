@@ -1,14 +1,18 @@
+import copy
 import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_best_split, loss, reference_margin
 
 from alertscreen.gbt import (
     BoostedEnsemble,
     TrainConfig,
     Tree,
+    _grow_tree,
     _Table,
     bin_features,
     compute_bin_edges,
@@ -192,6 +196,21 @@ def test_prefix_margin_adds_only_the_later_trees_bit_for_bit():
     assert core.predict_proba(X, prefix, core.n_trees).tobytes() == core.predict_proba(X).tobytes()
 
 
+def test_warm_start_from_a_prefix_margin_grows_the_same_trees():
+    X, y = _separable_data(seed=8, n=300)
+    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), np.random.default_rng(5))
+    grown = warm_start_update(core, X[:100], y[:100], Objective(), TrainConfig()).ensemble
+
+    def update(*prefix):  # each from the same generator state
+        ens = replace(grown, rng=copy.deepcopy(grown.rng))
+        return warm_start_update(ens, X[100:200], y[100:200], Objective(), TrainConfig(), *prefix)
+
+    full = update().ensemble
+    from_prefix = update(core.predict_margin(X[100:200]), core.n_trees).ensemble
+    assert full.n_trees == from_prefix.n_trees == 35
+    assert all(_same_tree(a, b) for a, b in zip(full.trees, from_prefix.trees))
+
+
 def test_warm_start_loss_non_increasing_on_same_batch():
     X, y = _separable_data(seed=10)
     obj = Objective()
@@ -239,9 +258,57 @@ def test_warm_start_rejects_empty_batch():
         warm_start_update(ens, np.zeros((0, 2)), np.zeros(0, dtype=int), Objective(), TrainConfig())
 
 
+def test_zero_regularisation_grows_finite_leaves():
+    # at l2_reg 0 and min_child_weight 0 a cut can leave a child without rows
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(500, 4))
+    X[:, :2] = np.round(X[:, :2], 1)
+    y = (rng.random(500) < 0.1).astype(np.int64)
+    cfg = TrainConfig(initial_rounds=20, l2_reg=0.0, min_child_weight=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the split search's 0 / 0 gains
+        ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
+    assert all(np.isfinite(tree.value).all() for tree in ens.trees)
+    assert np.isfinite(ens.predict_margin(X)).all()
+
+
+# relative offsets of each side's hessian total from min_child_weight: within 1e-13 of the
+# exact split, of the guard's 1e-12 margin, or a few 1e-12 either way
+SIDE_OFFSETS = st.one_of(
+    st.floats(-1e-13, 1e-13), st.floats(-1.1e-12, -0.9e-12), st.floats(-3e-12, 3e-12)
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    mcw=st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1e4]),
+    l2_reg=st.sampled_from([0.0, 1.0]),
+    sides=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    offsets=st.tuples(SIDE_OFFSETS, SIDE_OFFSETS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_node_below_twice_min_child_weight_has_no_split(mcw, l2_reg, sides, offsets, seed):
+    # feature 0 cuts the rows into two sides of hessian total mcw * (1 + offset) each
+    rng = np.random.default_rng(seed)
+    h = []
+    for n, offset in zip(sides, offsets):
+        w = rng.uniform(0.1, 1.0, n)
+        h.append(w * (mcw * (1.0 + offset) / w.sum()))
+    h = np.concatenate(h)
+    g = rng.normal(size=h.size)
+    binned = np.column_stack([np.repeat([0, 1], sides), rng.integers(0, 4, h.size)])
+    rows, feats, edges = rng.permutation(h.size), np.arange(2), [np.array([0.5]), np.arange(3.0)]
+    cfg = TrainConfig(max_depth=1, min_child_weight=mcw, l2_reg=l2_reg)
+    with np.errstate(invalid="ignore"):  # 0 / 0 gains of empty bins at l2_reg 0
+        best = find_best_split(binned, g, h, rows, feats, [2, 4], l2_reg, mcw)
+        tree = _grow_tree(binned, g, h, rows, feats, edges, [2, 4], cfg)
+    if h[rows].sum() < 2.0 * mcw * (1.0 - 1e-12):
+        assert best is None
+    assert (tree.feature[0] >= 0) == (best is not None)
+
 
 # trained at these max_depth values, or built by hand as chains or random shapes
-GRID_ENSEMBLES = [0, 1, 3, 6, 8, "right-chain", "left-chain", "random"]
+GRID_ENSEMBLES = [0, 1, 3, 6, 8, "right-chain", "left-chain", "random", "interleaved"]
+SEVERAL_WORDS = [8, "right-chain", "left-chain", "random"]  # trees of more than 64 leaves
 
 
 def _random_tree(rng, n_leaves, n_features, shape):
@@ -273,7 +340,10 @@ def _grid_ensemble(case):
     if isinstance(case, str):  # 65 and 129 leaves leave the last leaf alone in its word
         rng = np.random.default_rng(GRID_ENSEMBLES.index(case))
         ens = _empty_ensemble(n_features=4, base_score=-2.0)
-        for n_leaves in [1, 129, 2, 64, 1, 128, 200, 3, 65]:  # trees[-1:] is a 65-leaf tree alone
+        leaves = [1, 129, 2, 64, 1, 128, 200, 3, 65]  # trees[-1:] is a 65-leaf tree alone
+        if case == "interleaved":  # one word each; trees of one size are never adjacent
+            leaves = [3, 5, 2, 3, 1, 8, 5, 2, 3, 64, 8, 1, 5, 2, 64, 3]
+        for n_leaves in leaves:
             ens.trees.append(_random_tree(rng, n_leaves, 4, case))
         return ens
     rng = np.random.default_rng(case)
@@ -307,8 +377,9 @@ def _hard_rows(ens, n, seed):
 def test_predict_margin_equals_the_per_tree_walk_bit_for_bit(case, n_rows):
     ens = _grid_ensemble(case)
     assert any(tree.feature.size == 1 for tree in ens.trees)
-    if case == 8 or isinstance(case, str):  # more than one mask word
-        assert max(tree.leaf_value.size for tree in ens.trees) > 64
+    assert (max(tree.leaf_value.size for tree in ens.trees) > 64) == (case in SEVERAL_WORDS)
+    if case == "interleaved":  # groups of 1, 2, 4, 7 and 63 rows, each size spread over the trees
+        assert len(_Table.of(ens.trees).blocks) == 5
     n = 2 * _Table.of(ens.trees).tile_rows() + 3 if n_rows == "tile-crossing" else int(n_rows)
     X = _hard_rows(ens, n, seed=GRID_ENSEMBLES.index(case))
     want = reference_margin(ens, X).view(np.int64)
