@@ -1,9 +1,10 @@
 """Query-batch selection policies over the recent-event buffer.
 
-Four policies: uniform random, threshold-relative uncertainty (smallest
-|p - theta|), high-score (largest p), and hybrid (half uncertainty, half
-high-score with dedup). All ties break by buffer index ascending so
-selections are reproducible.
+Uniform random, or one ranked rule: the first k picks by smallest
+|p - theta|, the rest of the budget by largest p among events not yet
+chosen. Hybrid takes k = budget // 2; uncertainty (k = budget) and
+high-score (k = 0) are its two extremes. Stable sorts break every tie by
+buffer index ascending, so selections are reproducible.
 """
 
 from dataclasses import dataclass
@@ -33,19 +34,10 @@ def select_query_batch(scores, theta, budget, policy, rng):
         return QueryBatch([])
     if budget >= n:
         return QueryBatch(list(range(n)))
-
-    order_idx = np.arange(n)
     if policy == "random":
-        chosen = rng.choice(n, size=budget, replace=False)
-    elif policy == "uncertainty":
-        chosen = np.lexsort((order_idx, np.abs(scores - theta)))[:budget]
-    elif policy == "high-score":
-        chosen = np.lexsort((order_idx, -scores))[:budget]
-    else:
-        # hybrid: floor(budget/2) by smallest |p - theta|, the remainder by
-        # largest p among events not already chosen (dedup); budget < n, so
-        # the high-score remainder always fills the budget
-        unc = np.lexsort((order_idx, np.abs(scores - theta)))[: budget // 2]
-        hi = np.lexsort((order_idx, -scores))
-        chosen = np.concatenate([unc, hi[~np.isin(hi, unc)][: budget - unc.size]])
+        return QueryBatch(rng.choice(n, size=budget, replace=False).tolist())
+    k = {"uncertainty": budget, "high-score": 0, "hybrid": budget // 2}[policy]
+    near = np.argsort(np.abs(scores - theta), kind="stable")[:k]
+    high = np.argsort(-scores, kind="stable")
+    chosen = np.concatenate([near, high[~np.isin(high, near)][: budget - k]])
     return QueryBatch(chosen.tolist())

@@ -133,7 +133,7 @@ def _write_run_dir(run_dir, cfg, strategy, seed, result):
         (tmp_dir / "trace.csv").write_text(trace_to_csv(result.trace), encoding="utf-8")
         (tmp_dir / "endpoints.txt").write_text(result.endpoints.to_text(), encoding="utf-8")
         (tmp_dir / "triggers.txt").write_text(
-            "".join(f"{t}\n" for t in result.trigger_events), encoding="utf-8"
+            "".join(f"{t}\n" for t in result.ledger.trigger_events), encoding="utf-8"
         )
         if run_dir.exists():
             shutil.rmtree(run_dir)

@@ -181,10 +181,6 @@ class RunResult:
     ledger: RunLedger
     core: FrozenCore
 
-    @property
-    def trigger_events(self):
-        return self.ledger.trigger_events
-
 
 def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     """Execute one full streaming run; deterministic for a fixed seed.

@@ -35,14 +35,6 @@ class AdwinDetector:
         self.total_count = 0
         self.total_sum = 0.0
 
-    @property
-    def width(self):
-        return self.total_count
-
-    @property
-    def mean(self):
-        return self.total_sum / self.total_count if self.total_count else 0.0
-
     def update(self, values):
         """Insert a batch of values in [0, 1] (a bare float is a batch of one).
 

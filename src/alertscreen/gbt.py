@@ -265,8 +265,7 @@ class BoostedEnsemble:
 
     def predict_proba(self, X, prefix_margin=None, prefix_trees=0):
         """Positive-class probability, strictly inside (0, 1)."""
-        p = _sigmoid(self.predict_margin(X, prefix_margin, prefix_trees))
-        return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+        return _sigmoid(self.predict_margin(X, prefix_margin, prefix_trees))
 
 
 @dataclass
@@ -277,12 +276,13 @@ class WarmStartResult:
 
 
 def _sigmoid(z):
+    """The logistic of z, clipped to [PROB_EPS, 1 - PROB_EPS]."""
     out = np.empty_like(z)
     posm = z >= 0
     out[posm] = 1.0 / (1.0 + np.exp(-z[posm]))
     ez = np.exp(z[~posm])
     out[~posm] = ez / (1.0 + ez)
-    return out
+    return np.clip(out, PROB_EPS, 1.0 - PROB_EPS, out=out)
 
 
 def compute_bin_edges(X, n_bins):
@@ -318,7 +318,10 @@ def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weig
     """Best (feature, bin, gain) over histogram cut points, or None.
 
     Gain must be strictly positive; ties resolve to the smallest feature
-    index then the smallest bin, so growth is deterministic.
+    index then the smallest bin, so growth is deterministic. A cut needs a
+    row on each side, and a side whose h + l2_reg is not positive has no
+    gain. Every h is positive (the objective's floor), so a bin holds rows
+    iff its h sum is positive.
     """
     g_rows = g[rows]
     h_rows = h[rows]
@@ -348,9 +351,18 @@ def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weig
         )
         gains[~ok] = -np.inf
         b = int(np.argmax(gains))
-        if gains[b] > best_gain:
-            best_gain = float(gains[b])
-            best = (f, b, best_gain)
+        if gains[b] <= best_gain:  # a NaN, which argmax returns first, is checked below
+            continue
+        valid = h_left[b] > 0 and h_right[b] + l2_reg > 0 and hist_h[b + 1 :].any()
+        if not (valid and math.isfinite(gains[b])):  # so mask every invalid cut
+            occupied = np.flatnonzero(hist_h)
+            ok[: occupied[0]] = ok[occupied[-1] :] = False  # a side without rows
+            gains[~(ok & (h_right + l2_reg > 0))] = -np.inf
+            b = int(np.argmax(gains))
+            if not gains[b] > best_gain:
+                continue
+        best_gain = float(gains[b])
+        best = (f, b, best_gain)
     return best
 
 
@@ -369,8 +381,7 @@ def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
                 binned, g, h, node_rows, feat_ids, n_bins, config.l2_reg, config.min_child_weight
             )
         if best is None:
-            denominator = h_sum + config.l2_reg  # 0 only for a child with no rows, at l2_reg 0
-            node[4] = -g[node_rows].sum() / denominator if denominator else 0.0
+            node[4] = -g[node_rows].sum() / (h_sum + config.l2_reg)  # every node has rows
             continue
         f, b, _ = best
         go_left = binned[node_rows, f] <= b
@@ -391,7 +402,7 @@ def _boost(ensemble, X, y, objective, config, rounds, prefix_margin=None, prefix
     all_feats = np.arange(width)
     n_cols = max(1, int(round(config.colsample * width)))
     for _ in range(rounds):
-        p = np.clip(_sigmoid(margin), PROB_EPS, 1.0 - PROB_EPS)
+        p = _sigmoid(margin)
         g, h = grad_hess(p, y, objective, hess_floor=HESS_FLOOR)
         if config.subsample < 1.0:
             mask = rng.random(n) < config.subsample

@@ -19,23 +19,10 @@ import numpy as np
 
 from .schema import decode_fields, read_pairs, write_pairs
 
-# Column names dropped outright (label/timestamp/split metadata and known
-# post-decision attributes), and case-insensitive substrings that disqualify
-# a column wherever they appear in its name.
-EXPLICIT_DROP_COLUMNS = frozenset(
-    {
-        "label",
-        "timestamp",
-        "ts",
-        "datetime",
-        "date",
-        "split",
-        "fold_id",
-        "attack_type",
-        "dataset_name",
-        "time_group",
-    }
-)
+# Label and time column names dropped outright, and case-insensitive
+# substrings (split metadata, post-decision attributes) that disqualify a
+# column wherever they appear in its name.
+EXPLICIT_DROP_COLUMNS = frozenset({"label", "timestamp", "ts", "datetime", "date"})
 SUBSTRING_DENYLIST = (
     "attack",
     "verdict",

@@ -87,43 +87,20 @@ def missed_positive_stats(labels, preds, burst_gap, delay_mode):
         raise ValueError("labels and predictions must have equal length")
     if delay_mode not in DELAY_MODES:
         raise ValueError(f"unknown delay mode: {delay_mode!r}")
-    pos_idx = np.nonzero(labels == 1)[0]
+    pos = np.flatnonzero(labels == 1)
     missed = (labels == 1) & (preds == 0)
-    count = int(missed.sum())
-
-    max_streak = 0
-    streak = 0
-    for i in pos_idx:
-        if missed[i]:
-            streak += 1
-            max_streak = max(max_streak, streak)
-        else:
-            streak = 0
-
-    if pos_idx.size == 0:
-        return MissedPositiveStats(count, max_streak, None)
-
-    delays = []
-    burst_start = 0  # index into pos_idx
-    for k in range(1, pos_idx.size + 1):
-        new_burst = k == pos_idx.size or pos_idx[k] - pos_idx[k - 1] - 1 >= burst_gap
-        if not new_burst:
-            continue
-        burst = pos_idx[burst_start:k]
-        detected = np.nonzero(~missed[burst])[0]
-        if detected.size == 0:
-            if delay_mode == "positives":
-                delays.append(float(burst.size))
-            else:
-                delays.append(float(burst[-1] - burst[0] + 1))
-        else:
-            first = int(detected[0])
-            if delay_mode == "positives":
-                delays.append(float(first))
-            else:
-                delays.append(float(burst[first] - burst[0]))
-        burst_start = k
-    return MissedPositiveStats(count, max_streak, sum(delays) / len(delays))
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], missed[pos], [False]))))
+    max_streak = int((edges[1::2] - edges[::2]).max(initial=0))  # runs of missed positives
+    if pos.size == 0:
+        return MissedPositiveStats(0, max_streak, None)
+    # bursts as [start, end) ranges of pos; each burst's first detected positive, or end
+    start = np.concatenate(([0], np.flatnonzero(np.diff(pos) - 1 >= burst_gap) + 1))
+    end = np.append(start[1:], pos.size)
+    detected = np.flatnonzero(~missed[pos])
+    first = np.append(detected, pos.size)[np.searchsorted(detected, start)]
+    at = pos if delay_mode == "events" else np.arange(pos.size)
+    delays = np.where(first < end, at[np.minimum(first, end - 1)], at[end - 1] + 1) - at[start]
+    return MissedPositiveStats(int(missed.sum()), max_streak, int(delays.sum()) / delays.size)
 
 
 def fp_burden(cum_fp, benign_count):

@@ -65,7 +65,6 @@ class SyntheticStreamSpec:
 
 def _place_positives(spec, rng):
     n_pos = int(rng.binomial(spec.length, spec.prevalence))
-    n_pos = min(n_pos, spec.length)
     labels = np.zeros(spec.length, dtype=np.int64)
     if n_pos == 0:
         return labels
@@ -91,22 +90,16 @@ def _place_positives(spec, rng):
 
 
 def _means_per_event(spec, labels):
-    benign = np.zeros(spec.length)
-    malicious = np.full(spec.length, spec.class_separation, dtype=np.float64)
-    cur_b, cur_m = 0.0, spec.class_separation
     points = sorted(spec.drift_points, key=lambda d: d.index)
-    bounds = [d.index for d in points] + [spec.length]
-    start = 0
-    for d, end in zip(points, bounds[1:]):
-        benign[start : d.index] = cur_b
-        malicious[start : d.index] = cur_m
-        cur_b = d.benign_mean
-        if d.malicious_mean is not None:
-            cur_m = d.malicious_mean
-        start = d.index
-    benign[start:] = cur_b
-    malicious[start:] = cur_m
-    return np.where(labels == 1, malicious, benign)
+    benign, malicious = [0.0], [spec.class_separation]  # per segment, before the first point
+    for d in points:
+        benign.append(d.benign_mean)
+        malicious.append(malicious[-1] if d.malicious_mean is None else d.malicious_mean)
+    # an event's segment counts the points at or before it, so a later point at one index wins
+    indices = np.array([d.index for d in points], dtype=np.int64)
+    segment = np.searchsorted(indices, np.arange(spec.length), side="right")
+    means = np.array([benign, malicious], dtype=np.float64)[:, segment]
+    return np.where(labels == 1, means[1], means[0])
 
 
 def _category_column(spec, labels, rng):

@@ -3,8 +3,10 @@
 Everything here is deliberately written from first principles (stored-value
 windows, exhaustive scans, sorted-list selection, high-precision finite
 differences) and stays independent of the implementation paths it checks.
-The exception is `SequentialAdwin`, the per-value bucketed detector kept
-unchanged as the exactness reference for the batched one.
+The exceptions are `SequentialAdwin`, the per-value bucketed detector kept
+unchanged as the exactness reference for the batched one, and
+`reference_missed_positive_stats`, the per-positive loop kept the same way
+for the array pass of `metrics.missed_positive_stats`.
 """
 
 import math
@@ -398,3 +400,46 @@ def recount_window(labels, preds, capacity):
         else:
             tn += 1
     return tp, fp, tn, fn
+
+
+def reference_missed_positive_stats(labels, preds, burst_gap, delay_mode):
+    """(count, max streak, mean burst delay) by walking the positives one at a time."""
+    labels = np.asarray(labels)
+    preds = np.asarray(preds)
+    pos_idx = np.nonzero(labels == 1)[0]
+    missed = (labels == 1) & (preds == 0)
+    count = int(missed.sum())
+
+    max_streak = 0
+    streak = 0
+    for i in pos_idx:
+        if missed[i]:
+            streak += 1
+            max_streak = max(max_streak, streak)
+        else:
+            streak = 0
+
+    if pos_idx.size == 0:
+        return count, max_streak, None
+
+    delays = []
+    burst_start = 0  # index into pos_idx
+    for k in range(1, pos_idx.size + 1):
+        new_burst = k == pos_idx.size or pos_idx[k] - pos_idx[k - 1] - 1 >= burst_gap
+        if not new_burst:
+            continue
+        burst = pos_idx[burst_start:k]
+        detected = np.nonzero(~missed[burst])[0]
+        if detected.size == 0:
+            if delay_mode == "positives":
+                delays.append(float(burst.size))
+            else:
+                delays.append(float(burst[-1] - burst[0] + 1))
+        else:
+            first = int(detected[0])
+            if delay_mode == "positives":
+                delays.append(float(first))
+            else:
+                delays.append(float(burst[first] - burst[0]))
+        burst_start = k
+    return count, max_streak, sum(delays) / len(delays)

@@ -204,7 +204,7 @@ def test_controller_ledger_invariants(ledger_stream):
                 cooldown = settings.strategy.cooldown_events
             cooldown = max(cooldown - (row.batch_end_index - prev_end), 0)
             prev_end = row.batch_end_index
-        for t in result.trigger_events:
+        for t in result.ledger.trigger_events:
             earlier = [u for u in result.ledger.update_events if u < t]
             if earlier:
                 assert t - earlier[-1] >= settings.strategy.cooldown_events
@@ -327,16 +327,18 @@ def test_matched_replay_contract():
         X_train, y_train, X_stream, y_stream,
         RunSettings(strategy=StrategyConfig(kind="adwin-hybrid"), seed=42),
     )
-    assert free.trigger_events
+    assert free.ledger.trigger_events
     replay = run_stream(
         X_train, y_train, X_stream, y_stream,
         RunSettings(
-            strategy=StrategyConfig(kind="matched-replay", trigger_schedule=free.trigger_events),
+            strategy=StrategyConfig(
+                kind="matched-replay", trigger_schedule=free.ledger.trigger_events
+            ),
             acquisition_policy="hybrid",
             seed=42,
         ),
     )
-    assert replay.trigger_events == free.trigger_events
+    assert replay.ledger.trigger_events == free.ledger.trigger_events
 
     # cooldown gating: a scheduled index inside a cooldown window is skipped
     gated = run_stream(
@@ -347,5 +349,5 @@ def test_matched_replay_contract():
             seed=42,
         ),
     )
-    assert gated.trigger_events == [3_000]
+    assert gated.ledger.trigger_events == [3_000]
     assert gated.ledger.schedule_suppressed_by_cooldown == 1

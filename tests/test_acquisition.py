@@ -30,14 +30,16 @@ def test_budget_beyond_buffer_returns_whole_buffer():
 
 @pytest.mark.parametrize("policy", ["uncertainty", "high-score", "hybrid"])
 def test_deterministic_policies_match_sorted_list_oracle(policy):
-    for case in range(200):
-        rng = np.random.default_rng(3_000 + case)
-        n = int(rng.integers(1, 13))
-        scores = np.round(rng.random(n), 3)
-        theta = float(np.round(rng.random(), 2))
-        budget = int(rng.integers(0, n + 2))
-        batch = select_query_batch(scores, theta, budget, policy, np.random.default_rng(1))
-        assert batch.indices == oracle_select(list(scores), theta, budget, policy)
+    # scores to 3 decimals, and to 1 decimal for heavy ties in both p and |p - theta|
+    for decimals, max_n in ((3, 13), (1, 40)):
+        for case in range(200):
+            rng = np.random.default_rng(3_000 + case)
+            n = int(rng.integers(1, max_n))
+            scores = np.round(rng.random(n), decimals)
+            theta = float(np.round(rng.random(), min(decimals, 2)))
+            budget = int(rng.integers(0, n + 2))
+            batch = select_query_batch(scores, theta, budget, policy, np.random.default_rng(1))
+            assert batch.indices == oracle_select(list(scores), theta, budget, policy)
 
 
 def test_hybrid_partition_property_on_distinct_scores():

@@ -28,7 +28,7 @@ def test_frozen_makes_no_queries_and_keeps_the_ensemble(small_splits):
     assert e.queries == 0 and e.updates == 0
     assert e.applied_pos == 0 and e.applied_neg == 0
     assert e.trees == 100
-    assert result.trigger_events == []
+    assert result.ledger.trigger_events == []
 
 
 def test_frozen_trace_equals_pure_prediction_pass(small_splits):
@@ -43,7 +43,7 @@ def test_run_is_deterministic_per_seed(small_splits):
     b = run_stream(*small_splits, _settings("adwin-hybrid", seed=7))
     assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
     assert a.endpoints == b.endpoints
-    assert a.trigger_events == b.trigger_events
+    assert a.ledger.trigger_events == b.ledger.trigger_events
 
 
 def test_threshold_only_uses_recall_constrained_theta(small_splits):
@@ -113,7 +113,7 @@ def test_schedule_beyond_stream_end_ignored_with_warning(caplog):
     )
     with caplog.at_level("WARNING"):
         result = run_stream(X_train, y_train, X_stream, y_stream, settings)
-    assert result.trigger_events == [3_000]
+    assert result.ledger.trigger_events == [3_000]
     warning = "1 scheduled trigger(s) beyond stream end ignored: [99000]"
     assert any(r.getMessage() == warning for r in caplog.records)
 
@@ -127,7 +127,7 @@ def test_cooldown_suppresses_scheduled_triggers():
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
-    assert result.trigger_events == [3_000, 8_000]
+    assert result.ledger.trigger_events == [3_000, 8_000]
     assert result.ledger.schedule_suppressed_by_cooldown == 1
 
 
@@ -137,7 +137,7 @@ def test_periodic_triggers_at_interval_multiples():
         strategy=StrategyConfig(kind="periodic", periodic_interval=10_000), seed=42
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
-    assert result.trigger_events == [10_000, 20_000]
+    assert result.ledger.trigger_events == [10_000, 20_000]
     assert result.endpoints.updates == 2  # budget 50 >= b_min each time
     assert result.endpoints.queries == 100
 
@@ -150,7 +150,7 @@ def test_periodic_max_updates_caps_triggering():
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.endpoints.updates == 1
-    assert result.trigger_events == [10_000]
+    assert result.ledger.trigger_events == [10_000]
 
 
 def _oscillating_drift_splits(seed, n_stream=24_000):
@@ -170,7 +170,7 @@ def test_live_adwin_triggers_honor_cooldown_spacing():
     settings = RunSettings(strategy=StrategyConfig(kind="adwin-hybrid"), seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.endpoints.updates >= 2
-    for t in result.trigger_events:
+    for t in result.ledger.trigger_events:
         previous_updates = [u for u in result.ledger.update_events if u < t]
         if previous_updates:
             assert t - previous_updates[-1] >= settings.strategy.cooldown_events
@@ -279,19 +279,21 @@ def test_matched_replay_reproduces_recorded_schedule():
         seed=14, n_stream=30_000, drift_at=15_000, drift_shift=2.5
     )
     free = run_stream(X_train, y_train, X_stream, y_stream, _settings("adwin-hybrid"))
-    assert free.trigger_events  # the drift must actually trigger
+    assert free.ledger.trigger_events  # the drift must actually trigger
     replay = run_stream(
         X_train,
         y_train,
         X_stream,
         y_stream,
         RunSettings(
-            strategy=StrategyConfig(kind="matched-replay", trigger_schedule=free.trigger_events),
+            strategy=StrategyConfig(
+                kind="matched-replay", trigger_schedule=free.ledger.trigger_events
+            ),
             acquisition_policy="hybrid",
             seed=42,
         ),
     )
-    assert replay.trigger_events == free.trigger_events
+    assert replay.ledger.trigger_events == free.ledger.trigger_events
 
     # substituting another policy keeps timing within the recorded schedule
     random_replay = run_stream(
@@ -300,12 +302,14 @@ def test_matched_replay_reproduces_recorded_schedule():
         X_stream,
         y_stream,
         RunSettings(
-            strategy=StrategyConfig(kind="matched-replay", trigger_schedule=free.trigger_events),
+            strategy=StrategyConfig(
+                kind="matched-replay", trigger_schedule=free.ledger.trigger_events
+            ),
             acquisition_policy="random",
             seed=42,
         ),
     )
-    assert set(random_replay.trigger_events) <= set(free.trigger_events)
+    assert set(random_replay.ledger.trigger_events) <= set(free.ledger.trigger_events)
 
 
 def test_oracle_labels_come_from_stream_ground_truth():
@@ -347,7 +351,7 @@ def test_strategy_table_decides_which_configured_policies_apply(drifting_small_s
 
     default = run()
     # a querying kind must query here, or ignoring the acquisition policy proves nothing
-    assert bool(default.trigger_events) == (STRATEGIES[kind][0] is not None)
+    assert bool(default.ledger.trigger_events) == (STRATEGIES[kind][0] is not None)
     other_acquisition = run(acquisition_policy="uncertainty").endpoints
     other_threshold = run(threshold_policy="recall-constrained").endpoints
     ignored = IGNORED_POLICIES[kind]
@@ -372,7 +376,7 @@ def test_adwin_checks_each_batch_in_one_call(drifting_small_splits, monkeypatch)
     reference = SequentialAdwin(settings.adwin_delta)
     expected = sum(reference.update(float(v)) for scores, _ in calls for v in scores)
     assert sum(shrank for _, shrank in calls) == expected > 0
-    assert result.trigger_events
+    assert result.ledger.trigger_events
 
 
 # The shared-core grid: a short stream for batch size 1, and for the other
@@ -396,7 +400,7 @@ def _grid_settings(batch_size, kind, replay=False):
     interval = 200 if batch_size == 1 else 1_000
     schedule = None
     if kind == "matched-replay":  # the schedule adwin-hybrid recorded on this grid row
-        schedule = _cold_run(batch_size, "adwin-hybrid").trigger_events
+        schedule = _cold_run(batch_size, "adwin-hybrid").ledger.trigger_events
     strategy = StrategyConfig(
         kind=kind,
         batch_size=batch_size,
@@ -445,7 +449,7 @@ def test_grid_streams_cross_core_tiles():
 def test_run_on_another_strategys_core_equals_a_cold_run(batch_size, kind, replay):
     cold = _cold_run(batch_size, kind, replay)
     # a querying kind must query here, or sharing its core proves little
-    assert bool(cold.trigger_events) == (STRATEGIES[kind][0] is not None)
+    assert bool(cold.ledger.trigger_events) == (STRATEGIES[kind][0] is not None)
     assert cold.ledger.replayed > 0 or not replay
     donor = _cold_run(batch_size, "adwin-hybrid" if kind == "periodic" else "periodic").core
     shared = run_stream(*_grid_splits(batch_size), _grid_settings(batch_size, kind, replay), donor)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import gaussian_splits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_best_split, loss, reference_margin
@@ -269,6 +270,26 @@ def test_zero_regularisation_grows_finite_leaves():
         ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
     assert all(np.isfinite(tree.value).all() for tree in ens.trees)
     assert np.isfinite(ens.predict_margin(X)).all()
+
+
+@pytest.mark.parametrize("l2_reg", [0.0, 1.0])
+def test_zero_min_child_weight_grows_no_split_with_an_empty_side(l2_reg):
+    # without sampling every tree is grown on all rows, so each of its leaves holds a row
+    X, y, _, _ = gaussian_splits(seed=0, n_train=500)
+    cfg = TrainConfig(
+        initial_rounds=20, min_child_weight=0.0, l2_reg=l2_reg, subsample=1.0, colsample=1.0
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # the split search's 0 / 0 gains
+        ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
+    rows = np.arange(X.shape[0])
+    for tree in ens.trees:
+        node = np.zeros(rows.size, dtype=np.int64)
+        while (tree.feature[node] >= 0).any():
+            f = tree.feature[node]
+            left = X[rows, np.maximum(f, 0)] < tree.threshold[node]
+            node = np.where(f < 0, node, np.where(left, tree.left[node], tree.right[node]))
+        assert set(node.tolist()) == set(np.flatnonzero(tree.feature < 0).tolist())
+        assert np.isfinite(tree.value).all()
 
 
 # relative offsets of each side's hessian total from min_child_weight: within 1e-13 of the

@@ -35,6 +35,10 @@ def _events(values, column="v", labels=None):
 
 def test_filter_drops_explicit_columns():
     assert apply_leakage_filter(["attack_type", "feat_severity"]) == ["feat_severity"]
+    # split metadata goes by the denylist substrings, in any case
+    for name in ("split", "fold_id", "attack_type", "dataset_name", "time_group"):
+        for variant in (name, name.upper(), name.title()):
+            assert apply_leakage_filter([variant, "feat_severity"]) == ["feat_severity"]
 
 
 def test_filter_denylist_is_case_insensitive_substring():

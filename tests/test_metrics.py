@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from oracles import recount_window, trace_from_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import recount_window, reference_missed_positive_stats, trace_from_csv
 
 from alertscreen.metrics import (
+    DELAY_MODES,
     Endpoints,
     RollingWindow,
     TraceRow,
@@ -110,6 +113,31 @@ def test_missed_stats_event_delay_mode():
 def test_missed_stats_length_mismatch_rejected():
     with pytest.raises(ValueError):
         missed_positive_stats(np.zeros(3), np.zeros(4), 10_000, "positives")
+
+
+# per positive: the benign events before it, whether it is detected, whether they alert
+POSITIVES = st.lists(st.tuples(st.integers(0, 12), st.booleans(), st.booleans()), max_size=40)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    positives=POSITIVES,
+    tail=st.integers(0, 5),
+    burst_gap=st.one_of(st.integers(0, 8), st.integers(0, 100_000)),
+    delay_mode=st.sampled_from(DELAY_MODES),
+)
+def test_missed_stats_match_the_per_positive_walk(positives, tail, burst_gap, delay_mode):
+    labels, preds = [], []
+    for gap, detected, alerts in positives:
+        labels += [0] * gap + [1]
+        preds += [int(alerts)] * gap + [int(detected)]
+    labels, preds = np.array(labels + [0] * tail), np.array(preds + [0] * tail)
+    stats = missed_positive_stats(labels, preds, burst_gap, delay_mode)
+    got = (stats.count, stats.max_streak, stats.mean_burst_delay)
+    expected = reference_missed_positive_stats(labels, preds, burst_gap, delay_mode)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert type(stats.count) is int and type(stats.max_streak) is int
 
 
 def test_fp_burden_reproduces_published_operating_points():

@@ -3,7 +3,8 @@
 Its worker wraps every ``(owner, attr)`` of ``traced_targets`` in a span,
 and its plain runs stamp ``cli.run_stream`` and ``RollingWindow.metrics``.
 A rename or removal there would fail the benchmark, not this suite, so
-each name is resolved here, with the worker imported as it is.
+each name is resolved here, with the worker imported as it is, and one
+small run must record a span under every name.
 """
 
 import importlib.util
@@ -32,6 +33,25 @@ def test_every_hooked_name_resolves_to_a_callable(monkeypatch):
     hooked += [(cli, "run_stream"), (metrics.RollingWindow, "metrics")]
     for owner, attr in hooked:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_every_span_records_on_a_small_run(monkeypatch, tmp_path):
+    worker = _worker(monkeypatch)
+    tracer = worker.Tracer()
+    for name, owner, attr, counter in worker.traced_targets(alertscreen):
+        monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr), counter))
+    paths = tmp_path / "s.csv", tmp_path / "s.manifest"
+    write_dataset(SyntheticStreamSpec(length=3_000, prevalence=0.02, seed=3), *paths)
+    argv = ["run", "--strategy", "periodic,adwin-hybrid", "--seed", "3"]
+    argv += ["--out", str(tmp_path / "out"), "--dataset.csv", str(paths[0])]
+    argv += ["--dataset.manifest", str(paths[1])]
+    argv += ["--dataset.train_positive_target", "10", "--train.initial_rounds", "10"]
+    argv += ["--controller.periodic_interval", "1000"]
+    assert cli.main(argv) == 0
+    recorded = {tracer.names[span[0]] for span in tracer.spans}
+    assert recorded == set(tracer.names)
+    for span in tracer.spans:
+        assert [type(count) for count in span[5:]] == [int, int], tracer.names[span[0]]
 
 
 def test_load_events_length_is_the_row_count(tmp_path):
