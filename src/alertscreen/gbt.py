@@ -344,11 +344,12 @@ def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weig
         ok = (h_left >= min_child_weight) & (h_right >= min_child_weight)
         if not ok.any():
             continue
-        gains = 0.5 * (
-            g_left * g_left / (h_left + l2_reg)
-            + g_right * g_right / (h_right + l2_reg)
-            - parent
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty sides at l2_reg 0, masked
+            gains = 0.5 * (
+                g_left * g_left / (h_left + l2_reg)
+                + g_right * g_right / (h_right + l2_reg)
+                - parent
+            )
         gains[~ok] = -np.inf
         b = int(np.argmax(gains))
         if gains[b] <= best_gain:  # a NaN, which argmax returns first, is checked below

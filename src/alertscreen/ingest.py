@@ -14,6 +14,7 @@ import csv
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import count, islice
 
 import numpy as np
 
@@ -35,6 +36,9 @@ SUBSTRING_DENYLIST = (
     "fold",
 )
 
+# Rows per block read by load_events: smaller blocks barely lower its peak
+# memory further, larger ones raise it.
+BLOCK_ROWS = 1024
 UNSEEN_CATEGORY = "__unseen__"
 TIME_SINCE_COLUMN = "time_since_last_event"
 
@@ -152,63 +156,71 @@ def parse_numeric(cells):
 def load_events(csv_path, manifest):
     """Read the alert stream and sort it chronologically, ties in file order.
 
-    Only the manifest's declared columns that survive the leakage filter
-    are kept (label and timestamp are never features), and the causal
-    time-since column is derived (after sorting) when the manifest asks
-    for it and the dataset does not already carry the column.
+    The file is read in blocks of ``BLOCK_ROWS`` rows, and only the
+    manifest's declared columns that survive the leakage filter (label and
+    timestamp are never features) outlive their block, so memory follows
+    the kept columns, not the file. Rows are checked block by block: of
+    several defects, the first found in file order by block is reported.
+    The causal time-since column is derived (after sorting) when the
+    manifest asks for it and the dataset does not already carry the column.
     """
     try:
         with open(csv_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"empty dataset: {csv_path}") from None
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"empty dataset: {csv_path}")
+            repeated = ", ".join(repr(name) for name, n in Counter(header).items() if n > 1)
+            if repeated:
+                raise DataError(f"dataset header repeats column(s): {repeated}")
+            metadata = (manifest.label_column, manifest.timestamp_column)
+            derivable = {TIME_SINCE_COLUMN} if manifest.derive_time_since else set()
+            required = [c for c in (*manifest.categorical, *manifest.numeric) if c not in derivable]
+            for col in (*metadata, *required):
+                if col not in header:
+                    raise DataError(f"dataset missing declared column: {col!r}")
+            label_pos, width = header.index(manifest.label_column), len(header)
+            numeric = set(manifest.numeric) | derivable
+            kinds = {*manifest.categorical, *numeric}.difference(metadata)
+            derive = manifest.derive_time_since and TIME_SINCE_COLUMN not in header
+            block = list(islice(reader, BLOCK_ROWS))
+            if not block:
+                raise DataError("dataset contains no events")
+            kept = [c for c in header if c in kinds] + ([TIME_SINCE_COLUMN] if derive else [])
+            kept = [c for c in apply_leakage_filter(kept) if c in header]
+            cells = {c: [] for c in kept if c in manifest.categorical}
+            numbers = {c: [] for c in kept if c in numeric}
+            timestamps, labels = [], []
+            for start in count(2, BLOCK_ROWS):
+                for row_num, row in enumerate(block, start=start):
+                    if len(row) != width:
+                        raise DataError(f"row {row_num}: expected {width} fields, got {len(row)}")
+                    if (label := row[label_pos].strip()) not in ("0", "1"):
+                        raise DataError(f"row {row_num}: label must be 0 or 1, got {label!r}")
+                columns = dict(zip(header, zip(*block)))
+                try:
+                    ts = [parse_timestamp(v) for v in columns[manifest.timestamp_column]]
+                    timestamps.append(np.array(ts, dtype=np.int64))
+                except OverflowError as exc:
+                    raise DataError(f"timestamp out of the int64 millisecond range: {exc}") from exc
+                labels.append(np.array([r[label_pos].strip() == "1" for r in block], np.int64))
+                for c, parts in cells.items():
+                    parts.append(np.array(columns[c], dtype=object))
+                for c, parts in numbers.items():
+                    parts.append(parse_numeric(columns[c]))
+                del block, columns  # free this block's text before reading the next
+                if not (block := list(islice(reader, BLOCK_ROWS))):
+                    break
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset: {exc}") from exc
 
-    repeated = [name for name, count in Counter(header).items() if count > 1]
-    if repeated:
-        raise DataError(f"dataset header repeats column(s): {', '.join(map(repr, repeated))}")
-    metadata = (manifest.label_column, manifest.timestamp_column)
-    derivable = {TIME_SINCE_COLUMN} if manifest.derive_time_since else set()
-    required = [c for c in (*manifest.categorical, *manifest.numeric) if c not in derivable]
-    for col in (*metadata, *required):
-        if col not in header:
-            raise DataError(f"dataset missing declared column: {col!r}")
-    label_pos = header.index(manifest.label_column)
-    for row_num, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-        if row[label_pos].strip() not in ("0", "1"):
-            raise DataError(f"row {row_num}: label must be 0 or 1, got {row[label_pos].strip()!r}")
-    if not rows:
-        raise DataError("dataset contains no events")
-
-    columns = dict(zip(header, zip(*rows)))
-    ts_cells = columns[manifest.timestamp_column]
-    try:
-        timestamps = np.array([parse_timestamp(v) for v in ts_cells], dtype=np.int64)
-    except OverflowError as exc:
-        raise DataError(f"timestamp out of the int64 millisecond range: {exc}") from exc
+    timestamps = np.concatenate(timestamps)
     order = np.argsort(timestamps, kind="stable")
+    cells, numbers = ({c: np.concatenate(p)[order] for c, p in d.items()} for d in (cells, numbers))
     timestamps = timestamps[order]
-    labels = np.array([v.strip() == "1" for v in columns[manifest.label_column]], dtype=np.int64)
-    labels = labels[order]
-
-    numeric = set(manifest.numeric) | derivable
-    kinds = {*manifest.categorical, *numeric}.difference(metadata)
-    derive = manifest.derive_time_since and TIME_SINCE_COLUMN not in columns
-    kept = [c for c in header if c in kinds] + ([TIME_SINCE_COLUMN] if derive else [])
-    kept = [c for c in apply_leakage_filter(kept) if c in columns]
-    cells = {
-        c: np.array(columns[c], dtype=object)[order] for c in kept if c in manifest.categorical
-    }
-    numbers = {c: parse_numeric(columns[c])[order] for c in kept if c in numeric}
     if derive:
         numbers[TIME_SINCE_COLUMN] = compute_time_since(timestamps)
-    return EventTable(cells, numbers, labels, timestamps)
+    return EventTable(cells, numbers, np.concatenate(labels)[order], timestamps)
 
 
 class Preprocessor:

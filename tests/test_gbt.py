@@ -259,6 +259,7 @@ def test_warm_start_rejects_empty_batch():
         warm_start_update(ens, np.zeros((0, 2)), np.zeros(0, dtype=int), Objective(), TrainConfig())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_regularisation_grows_finite_leaves():
     # at l2_reg 0 and min_child_weight 0 a cut can leave a child without rows
     rng = np.random.default_rng(0)
@@ -266,12 +267,12 @@ def test_zero_regularisation_grows_finite_leaves():
     X[:, :2] = np.round(X[:, :2], 1)
     y = (rng.random(500) < 0.1).astype(np.int64)
     cfg = TrainConfig(initial_rounds=20, l2_reg=0.0, min_child_weight=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the split search's 0 / 0 gains
-        ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
+    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
     assert all(np.isfinite(tree.value).all() for tree in ens.trees)
     assert np.isfinite(ens.predict_margin(X)).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("l2_reg", [0.0, 1.0])
 def test_zero_min_child_weight_grows_no_split_with_an_empty_side(l2_reg):
     # without sampling every tree is grown on all rows, so each of its leaves holds a row
@@ -279,8 +280,7 @@ def test_zero_min_child_weight_grows_no_split_with_an_empty_side(l2_reg):
     cfg = TrainConfig(
         initial_rounds=20, min_child_weight=0.0, l2_reg=l2_reg, subsample=1.0, colsample=1.0
     )
-    with np.errstate(divide="ignore", invalid="ignore"):  # the split search's 0 / 0 gains
-        ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
+    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
     rows = np.arange(X.shape[0])
     for tree in ens.trees:
         node = np.zeros(rows.size, dtype=np.int64)
@@ -299,6 +299,7 @@ SIDE_OFFSETS = st.one_of(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     mcw=st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1e4]),
@@ -319,9 +320,8 @@ def test_a_node_below_twice_min_child_weight_has_no_split(mcw, l2_reg, sides, of
     binned = np.column_stack([np.repeat([0, 1], sides), rng.integers(0, 4, h.size)])
     rows, feats, edges = rng.permutation(h.size), np.arange(2), [np.array([0.5]), np.arange(3.0)]
     cfg = TrainConfig(max_depth=1, min_child_weight=mcw, l2_reg=l2_reg)
-    with np.errstate(invalid="ignore"):  # 0 / 0 gains of empty bins at l2_reg 0
-        best = find_best_split(binned, g, h, rows, feats, [2, 4], l2_reg, mcw)
-        tree = _grow_tree(binned, g, h, rows, feats, edges, [2, 4], cfg)
+    best = find_best_split(binned, g, h, rows, feats, [2, 4], l2_reg, mcw)
+    tree = _grow_tree(binned, g, h, rows, feats, edges, [2, 4], cfg)
     if h[rows].sum() < 2.0 * mcw * (1.0 - 1e-12):
         assert best is None
     assert (tree.feature[0] >= 0) == (best is not None)

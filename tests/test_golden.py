@@ -22,6 +22,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+from alertscreen import ingest
 from alertscreen.cli import RUN_FILES, main
 from alertscreen.ingest import prepare_dataset
 
@@ -150,12 +153,24 @@ INGEST_DIGESTS = {
 }
 
 
-def test_messy_csv_ingest_matches_golden_digests(tmp_path):
+def _messy_ingest_digests(tmp_path):
     (tmp_path / "m.csv").write_text(MESSY_CSV, encoding="utf-8")
     (tmp_path / "m.manifest").write_text(MESSY_MANIFEST, encoding="utf-8")
     data = prepare_dataset(tmp_path / "m.csv", tmp_path / "m.manifest", 3)
     assert data.X_train.shape == (10, 20) and data.X_stream.shape == (11, 20)
-    digests = {
+    return {
         name: hashlib.sha256(getattr(data, name).tobytes()).hexdigest() for name in INGEST_DIGESTS
     }
-    assert digests == INGEST_DIGESTS
+
+
+def test_messy_csv_ingest_matches_golden_digests(tmp_path):
+    assert _messy_ingest_digests(tmp_path) == INGEST_DIGESTS
+
+
+# MESSY_CSV's 21 rows one per block, with block seams among its timestamp ties
+# and first-seen categories, the last row alone, in exactly one block, and in
+# one block with room to spare
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 20, 21, 22])
+def test_messy_csv_ingest_is_the_same_in_any_row_blocks(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    assert _messy_ingest_digests(tmp_path) == INGEST_DIGESTS

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from alertscreen import cli, ingest
 from alertscreen.ingest import (
     DataError,
     DatasetManifest,
@@ -337,6 +340,84 @@ def test_header_only_dataset_contains_no_events(tmp_path, numeric):
     manifest_path = _write_manifest(tmp_path, "", numeric, derive="false")
     with pytest.raises(DataError, match="dataset contains no events"):
         prepare_dataset(csv_path, manifest_path, 1)
+
+
+def _numbered_rows(n):
+    """``n`` valid rows in reverse time order, each with its own port and category."""
+    return [f"{(n - i) * 1_000},{i % 2},{80 + i},c{i}" for i in range(n)]
+
+
+LATER_BLOCK_DEFECTS = [  # a bad row and its message pattern, formatted with its file row
+    ("9000,0,80", "^row {}: expected 4 fields, got 3$"),
+    ("9000,2,80,web", "^row {}: label must be 0 or 1, got '2'$"),
+    ("soon,0,80,web", "^unparseable timestamp: 'soon'$"),
+    ("99999999999999999999,0,80,web", "^timestamp out of the int64 millisecond range: "),
+]
+
+
+@pytest.mark.parametrize("row, message", LATER_BLOCK_DEFECTS)
+@pytest.mark.parametrize("index", [4, 7, 10])  # first and last of block 2, and in block 3
+def test_defect_in_a_later_block_reports_its_message_and_file_row(
+    tmp_path, monkeypatch, row, message, index
+):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+    rows = _numbered_rows(11)
+    rows[index] = row
+    csv_path, manifest_path = _write_dataset(tmp_path, rows)
+    with pytest.raises(DataError, match=message.format(index + 2)):  # the header is row 1
+        load_events(csv_path, load_manifest(manifest_path))
+
+
+@pytest.mark.parametrize("n", [4, 5])  # exactly one block, and one row more
+def test_file_of_one_block_or_one_row_more_loads_every_row(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+    csv_path, manifest_path = _write_dataset(tmp_path, _numbered_rows(n))
+    events = load_events(csv_path, load_manifest(manifest_path))
+    assert list(events.timestamps) == [1_000 * (k + 1) for k in range(n)]
+    assert list(events.numbers["port"]) == [80.0 + n - 1 - k for k in range(n)]
+    assert list(events.cells["category"]) == [f"c{n - 1 - k}" for k in range(n)]
+    assert list(events.labels) == [(n - 1 - k) % 2 for k in range(n)]
+    rows = _numbered_rows(n)
+    rows[-1] += ",extra"  # the last row, alone in its block when n is 5
+    csv_path, _ = _write_dataset(tmp_path, rows)
+    with pytest.raises(DataError, match=f"^row {n + 1}: expected 4 fields, got 5$"):
+        load_events(csv_path, load_manifest(manifest_path))
+
+
+def test_defects_in_two_blocks_report_the_earlier_blocks_first(tmp_path, monkeypatch):
+    rows = _numbered_rows(8)
+    rows[1] = "soon,0,81,c1"  # block 1
+    rows[5] = "3000,0,85"  # block 2
+    csv_path, manifest_path = _write_dataset(tmp_path, rows)
+    manifest = load_manifest(manifest_path)
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+    with pytest.raises(DataError, match="^unparseable timestamp: 'soon'$"):
+        load_events(csv_path, manifest)
+    args = ["run", "--strategy", "frozen", "--seed", "1", "--out", str(tmp_path / "out")]
+    args += ["--dataset.csv", str(csv_path), "--dataset.manifest", str(manifest_path)]
+    assert cli.main(args) == 2
+    # within one block every row is checked before any timestamp is parsed
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 8)
+    with pytest.raises(DataError, match="^row 7: expected 4 fields, got 3$"):
+        load_events(csv_path, manifest)
+
+
+def test_load_peak_memory_follows_the_kept_columns(tmp_path):
+    # ten blocks and more of rows, whose six undeclared text columns are never kept
+    n = 10 * ingest.BLOCK_ROWS + 7
+    notes = [",".join(f"n{i}x{j}" for j in range(6)) for i in range(n)]
+    rows = [f"{row},{note}" for row, note in zip(_numbered_rows(n), notes)]
+    header = "timestamp,label,port,category," + ",".join(f"note{j}" for j in range(6))
+    csv_path, manifest_path = _write_dataset(tmp_path, rows, header=header)
+    manifest = load_manifest(manifest_path)
+    tracemalloc.start()
+    try:
+        events = load_events(csv_path, manifest)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) == n
+    assert peak <= 4 * held, (peak, held)
 
 
 def test_manifest_round_trip(tmp_path):
