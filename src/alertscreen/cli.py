@@ -45,8 +45,15 @@ REQUIRED_RUN_FLAGS = {
 SYNTH_OTHER_ARGS = ("command", "out", "manifest", "drift")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are config errors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alertscreen",
         description="Streaming alert-screening harness",
     )
@@ -284,16 +291,10 @@ def cmd_summarize(args):
 
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="[%(levelname)s] %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "project":
-            return cmd_project(args)
-        return cmd_summarize(args)
+        args = build_parser().parse_args(argv)
+        handlers = dict(run=cmd_run, synth=cmd_synth, project=cmd_project, summarize=cmd_summarize)
+        return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

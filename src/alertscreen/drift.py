@@ -8,9 +8,9 @@ cut; when the two sub-window means differ beyond a Hoeffding-style bound
 the oldest bucket is dropped and the check repeats until no cut violates
 the bound.
 
-`update` takes a batch of values and checks the cuts after every one of
-its insertions in one array pass; the results are bit-identical to
-inserting and checking one value at a time.
+`update` checks the cuts after every insertion of a batch in one array
+pass, bit-identical to inserting and checking one value at a time;
+`_violating` is the one cut test, for that pass and for the shrink.
 """
 
 import math
@@ -21,6 +21,21 @@ import numpy as np
 MAX_BUCKETS_PER_ROW = 5
 # steps checked per array pass: bounds the (steps x buckets) arrays of a long batch
 _BLOCK_STEPS = 1024
+
+
+def _violating(s0, n0, n, total, present, delta):
+    """Whether a cut of each window (column) violates the bound.
+
+    Row k of `s0`, `n0` and `present`: sum, count and presence of the window's
+    k + 1 oldest bucket positions. `n` and `total`: the window's count and sum.
+    """
+    # math.log, not np.log: the two may differ in the last bit
+    cap = np.array([math.log(x) for x in (4.0 * n / delta).tolist()])
+    n1 = n - n0
+    with np.errstate(divide="ignore", invalid="ignore"):  # n1 <= 0 past the newest bucket
+        diff = s0 / n0 - (total - s0) / n1
+        eps_sq = 0.5 * (1.0 / n0 + 1.0 / n1) * cap
+    return (present & (n1 > 0) & (diff * diff > eps_sq)).any(axis=0)
 
 
 class AdwinDetector:
@@ -62,105 +77,72 @@ class AdwinDetector:
         """Insert values up to the first step whose window has a violating cut.
 
         Between detections the bucket layout does not depend on the values:
-        row r is a FIFO pool of its L0 initial buckets followed by the sums
-        that arrive in it, one per step at most, and it merges its two
+        every row r is a FIFO pool of its L0 initial buckets followed by the
+        sums that arrive in it, one per step at most, and it merges its two
         oldest buckets at arrival M + 1 - L0 and every second arrival after.
         So each row's buckets at every step gather into one (M x steps)
-        array, and the cuts of all steps are checked at once with the float
-        operations of `_violating_cut` in the same order. Leaves the state
-        as of that step and returns its index, or as of the last step and
-        returns None.
+        array, and `_violating` checks the cuts of all steps at once. Leaves
+        the state as of that step and returns its index, or as of the last
+        step and returns None.
         """
         m = MAX_BUCKETS_PER_ROW
         steps = np.arange(values.size)
         slots = np.arange(m)[:, None]
         arrivals, incoming = steps, values  # arrival steps and sums of the current row
-        moving = []  # rows that receive buckets, newest first: (pool, head, length, arrived)
-        while incoming.size:
-            r = len(moving)
-            initial = self.rows[r] if r < len(self.rows) else []
+        pools = []  # every row, newest first: (pool, head, length, arrived)
+        while incoming.size or len(pools) < len(self.rows):
+            initial = self.rows[len(pools)] if len(pools) < len(self.rows) else []
             pool = np.concatenate((initial, incoming, np.zeros(m)))
             arrived = np.searchsorted(arrivals, steps, side="right")
             first = m + 1 - len(initial)  # arrival count at the row's first merge
             head = np.maximum(arrived - first + 2, 0) // 2 * 2
-            moving.append((pool, head, len(initial) + arrived - head, arrived))
+            pools.append((pool, head, len(initial) + arrived - head, arrived))
             n_merged = int(head[-1]) // 2
             arrivals = arrivals[first - 1 + 2 * np.arange(n_merged)]
             incoming = pool[0 : 2 * n_merged : 2] + pool[1 : 2 * n_merged : 2]
 
-        # One slot per bucket position, oldest first: first the buckets of the
-        # rows above, which stay put, then each moving row's M positions.
-        still = range(len(self.rows) - 1, len(moving) - 1, -1)
-        fixed = np.array([s for r in still for s in self.rows[r]])[:, None]
-        fixed_n0 = np.cumsum([1 << r for r in still for _ in self.rows[r]], dtype=float)[:, None]
-        shape = (fixed.shape[0], values.size)
-        sums = [np.broadcast_to(fixed, shape)]
-        present = [np.ones(shape, dtype=bool)]
-        n0 = [np.broadcast_to(fixed_n0, shape)]
-        older = np.full(values.size, fixed_n0[-1, 0] if fixed_n0.size else 0.0)  # values above
-        for r in range(len(moving) - 1, -1, -1):
-            pool, head, length, _ = moving[r]
+        # One slot per bucket position, oldest first: each row's M positions.
+        sums, present, n0 = [], [], []
+        older = np.zeros(values.size)  # values in the rows above
+        for r in range(len(pools) - 1, -1, -1):
+            pool, head, length, _ = pools[r]
             sums.append(pool[head + slots])
             present.append(slots < length)
             n0.append(older + (slots + 1.0) * (1 << r))
             older = older + length * (1 << r)
         present = np.concatenate(present)
         s0 = np.cumsum(np.where(present, np.concatenate(sums), 0.0), axis=0)
-        n0 = np.concatenate(n0)
         n = self.total_count + 1.0 + steps
-        n1 = n - n0
         totals = np.cumsum(np.concatenate(([self.total_sum], values)))[1:]
-        # math.log as in _violating_cut: np.log may differ in the last bit
-        cap = np.array([math.log(x) for x in (4.0 * n / self.delta).tolist()])
-        with np.errstate(divide="ignore", invalid="ignore"):  # n1 <= 0 past the newest bucket
-            diff = s0 / n0 - (totals - s0) / n1
-            eps_sq = 0.5 * (1.0 / n0 + 1.0 / n1) * cap
-        violating = (present & (n1 > 0) & (diff * diff > eps_sq)).any(axis=0)
+        violating = _violating(s0, np.concatenate(n0), n, totals, present, self.delta)
         hit = int(violating.argmax()) if violating.any() else None
 
         last = values.size - 1 if hit is None else hit
         self.rows = [
             pool[head[last] : head[last] + length[last]].tolist()
-            for r, (pool, head, length, arrived) in enumerate(moving)
+            for r, (pool, head, length, arrived) in enumerate(pools)
             if r < len(self.rows) or arrived[last]
-        ] + self.rows[len(moving) :]
+        ]
         self.total_count += last + 1
         self.total_sum = float(totals[last])
         return hit
 
     def _drop_oldest_bucket(self):
-        r = len(self.rows) - 1
-        while not self.rows[r]:
-            r -= 1
-        dropped = self.rows[r].pop(0)
-        self.total_count -= 1 << r
-        self.total_sum -= dropped
+        # merges move buckets up and drops trim empty top rows: the top row holds the oldest
+        self.total_count -= 1 << (len(self.rows) - 1)
+        self.total_sum -= self.rows[-1].pop(0)
         while len(self.rows) > 1 and not self.rows[-1]:
             self.rows.pop()
 
     def _shrink(self):
-        while self.total_count >= 2 and self._violating_cut():
+        # Every drop count j at once: column j is the window less its j oldest
+        # buckets. The last column, one bucket, has no cut, so argmin finds the stop.
+        sums = np.array([s for row in reversed(self.rows) for s in row])
+        sizes = np.array([1 << r for r in reversed(range(len(self.rows))) for _ in self.rows[r]])
+        kept = np.arange(sums.size)[:, None] >= np.arange(sums.size)
+        s0 = np.cumsum(np.where(kept, sums[:, None], 0.0), axis=0)
+        n0 = np.cumsum(np.where(kept, sizes[:, None], 0), axis=0)
+        n = self.total_count - np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        total = np.subtract.accumulate(np.concatenate(([self.total_sum], sums[:-1])))
+        for _ in range(int(_violating(s0, n0, n, total, kept, self.delta).argmin())):
             self._drop_oldest_bucket()
-
-    def _violating_cut(self):
-        # Walk bucket boundaries oldest-first, growing the old sub-window.
-        n = self.total_count
-        total = self.total_sum
-        cap = math.log(4.0 * n / self.delta)
-        n0 = 0
-        s0 = 0.0
-        rows = self.rows
-        for r in range(len(rows) - 1, -1, -1):
-            size = 1 << r
-            for s in rows[r]:
-                n0 += size
-                n1 = n - n0
-                if n1 <= 0:
-                    return False
-                s0 += s
-                diff = s0 / n0 - (total - s0) / n1
-                eps_sq = 0.5 * (1.0 / n0 + 1.0 / n1) * cap
-                if diff * diff > eps_sq:
-                    return True
-        return False
-

@@ -297,8 +297,8 @@ def chronological_split(table, train_positive_target):
     """Smallest chronological prefix holding exactly the positive target.
 
     The prefix ends at the event carrying the Nth positive (inclusive); the
-    remainder is the stream. Raises when the dataset has too few positives
-    or the prefix has no benign event.
+    remainder is the stream. Raises when the dataset has too few positives,
+    the prefix has no benign event, or it leaves no stream event.
     """
     if train_positive_target < 1:
         raise DataError("train_positive_target must be positive")
@@ -310,6 +310,8 @@ def chronological_split(table, train_positive_target):
     cut = int(positives[train_positive_target - 1]) + 1
     if cut == train_positive_target:
         raise DataError(f"the training prefix (first {cut} events) holds no benign event")
+    if cut == len(table):
+        raise DataError(f"the training prefix (all {cut} events) leaves no stream event")
     return table[:cut], table[cut:]
 
 

@@ -428,6 +428,10 @@ def test_unusable_run_paths_and_files_end_with_a_message(
         ["synth", "--out", "{tmp}/s.csv", "--drift=-5:2.0"],
         ["project", "--recall", "2", "--fpr", "0.001", "--prior", "0.001"],
         ["project", "--recall", "0.9", "--fpr", "-1", "--prior", "0.001"],
+        # usage errors that argparse finds: a value of the wrong type, a missing flag
+        ["synth", "--out", "{tmp}/s.csv", "--length", "abc"],
+        ["project", "--recall", "x", "--fpr", "0.001", "--prior", "0.001"],
+        ["run", "--strategy", "frozen", "--seed", "1"],
     ],
 )
 def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
@@ -436,6 +440,13 @@ def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    assert "--length" in capsys.readouterr().out
 
 
 def _positives_first_dataset(root):
@@ -569,3 +580,17 @@ def test_zero_regularisation_run_ends_with_finite_endpoints(dataset, tmp_path, c
         endpoints = Endpoints.from_text((out / strategy / "42" / "endpoints.txt").read_text())
         values = [v for v in dataclasses.astuple(endpoints) if isinstance(v, float)]
         assert values and all(math.isfinite(v) for v in values), strategy
+
+
+def test_training_prefix_holding_every_event_is_a_data_error(tmp_path, capsys):
+    rows = "".join(f"{i * 1_000},{int(i % 10 == 9)},{i / 100}\n" for i in range(40))
+    (tmp_path / "all.csv").write_text("timestamp,label,f0\n" + rows)
+    (tmp_path / "all.manifest").write_text(
+        "label_column=label\ntimestamp_column=timestamp\nnumeric=f0\n"
+    )
+    args = _run_args((tmp_path / "all.csv", tmp_path / "all.manifest"), tmp_path / "out")
+    args[args.index("--dataset.train_positive_target") + 1] = "4"
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "no stream event" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -163,6 +163,7 @@ def test_batched_update_equals_sequential_insertion(
     det = AdwinDetector(delta)
     for start in range(0, n, size):
         assert det.update(values[start : start + size]) == sum(shrank[start : start + size])
+        assert det.rows[-1] or det.total_count == 0  # the top row holds the oldest bucket
     assert sum(shrank) > 0
     assert det.rows == reference.rows
     assert det.total_count == reference.total_count

@@ -220,11 +220,16 @@ def test_split_target_below_one_is_a_data_error():
 
 
 def test_split_prefix_without_benign_event_is_a_data_error():
-    events = _events(list("abcde"), labels=[1, 1, 1, 0, 1])
+    events = _events(list("abcdef"), labels=[1, 1, 1, 0, 1, 0])
     with pytest.raises(DataError, match="no benign event"):
         chronological_split(events, 2)
     train, _ = chronological_split(events, 4)
     assert train.labels.tolist() == [1, 1, 1, 0, 1]
+
+
+def test_split_prefix_holding_every_event_is_a_data_error():
+    with pytest.raises(DataError, match="leaves no stream event"):
+        chronological_split(_events(list("abc"), labels=[0, 1, 1]), 2)
 
 
 def test_split_too_few_positives_reports_count():
