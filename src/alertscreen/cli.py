@@ -34,8 +34,9 @@ logger = logging.getLogger(__name__)
 
 RUN_FILES = ("config.txt", "trace.csv", "endpoints.txt", "triggers.txt")
 
-# the config keys every run names on its command line, by flag
-REQUIRED_RUN_FLAGS = {
+# the run keys with a short flag; only --out is required, since a cell's config.txt
+# records the cell's own directory as run.out
+RUN_FLAGS = {
     "run.strategies": ("--strategy", "strategy kind, comma-separated for a matrix"),
     "run.seeds": ("--seed", "seed, comma-separated for a sweep"),
     "run.out": ("--out", "output directory"),
@@ -61,10 +62,11 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="execute a strategy matrix over seeds")
     p_run.add_argument("--config", help="key-value config file (flags override it)")
-    for key, (flag, text) in REQUIRED_RUN_FLAGS.items():
-        p_run.add_argument(flag, dest=key, metavar=flag[2:].upper(), required=True, help=text)
+    for key, (flag, text) in RUN_FLAGS.items():
+        required = key == "run.out"
+        p_run.add_argument(flag, dest=key, metavar=flag[2:].upper(), required=required, help=text)
     for key in CONFIG_KEYS:
-        if key not in REQUIRED_RUN_FLAGS:
+        if key not in RUN_FLAGS:
             p_run.add_argument(f"--{key}", dest=key, metavar="VALUE")
 
     # a synth flag not given is left out, so SyntheticStreamSpec's default holds
@@ -118,12 +120,15 @@ def _load_trigger_schedule(path):
 
 
 def _check_trigger_schedule(schedule, stream_events, batch_size):
-    """Every entry up to the stream end must be a batch end; later ones warn in run_stream."""
+    """Every entry up to the stream end must be a batch end; later ones get one warning per run."""
     bad = sorted({t for t in schedule if t <= 0 or (t < stream_events and t % batch_size)})
     if bad:
         raise DataError(
             f"trigger schedule entries {bad} are not batch ends (batch size {batch_size})"
         )
+    beyond = sorted({t for t in schedule if t > stream_events})
+    if beyond:
+        logger.warning("%d scheduled trigger(s) beyond stream end ignored: %s", len(beyond), beyond)
 
 
 def _write_run_dir(run_dir, cfg, strategy, seed, result):

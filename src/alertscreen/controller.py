@@ -3,11 +3,11 @@
 Per stream batch the controller predicts with the current ensemble,
 updates rolling metrics, and runs the strategy's trigger branch, which
 queries among the last ``buffer_capacity`` events not queried before.
-Queried labels accumulate in a pending set across triggers; once the
-minimum update batch is reached the booster warm-starts on the pending
-labels, the pending set clears, and an event-based cooldown suppresses
-further querying. The updated ensemble takes effect at the next batch
-boundary (hot-swap between batches).
+Queried labels accumulate across triggers; once the labels no warm start
+has applied reach the minimum update batch the booster warm-starts on
+them, and an event-based cooldown suppresses further querying. The
+updated ensemble takes effect at the next batch boundary (hot-swap
+between batches).
 
 Strategies (``STRATEGIES``): frozen (no updates), threshold-only (frozen
 at the recall-constrained threshold), periodic (fixed-interval random
@@ -124,13 +124,16 @@ class RunSettings:
 
 @dataclass
 class RunLedger:
-    """Query/update accounting: trigger and update events, and the label counts of the endpoints."""
+    """Query/update accounting: trigger and update events, and the label counts of the endpoints.
+
+    The one record of queries: the labels pending for the next update are
+    ``queried_ids[applied:]``, and replay draws from ``queried_ids[:applied]``.
+    """
 
     trigger_events: list = field(default_factory=list)
     update_events: list = field(default_factory=list)
-    queried_ids: list = field(default_factory=list)
-    applied_pos: int = 0  # oracle labels applied by warm starts, per class
-    applied_neg: int = 0
+    queried_ids: list = field(default_factory=list)  # stream indices, in query order
+    applied: int = 0  # how many of queried_ids the warm starts have used
     replayed: int = 0  # replayed rows mixed into warm starts
     schedule_suppressed_by_cooldown: int = 0
 
@@ -219,15 +222,11 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     budget = settings.query_budget
     schedule = set(strat.trigger_schedule or []) if trigger == "schedule" else set()
 
-    pending = []  # stream indices with oracle labels outstanding for the next update
-    replay = []  # the replay_capacity most recently applied stream indices, oldest first
     window = RollingWindow(settings.rolling_window)
     ledger = RunLedger()
 
     n = y_stream.size
-    preds = np.zeros(n, dtype=np.int8)
     scores = np.zeros(n, dtype=np.float64)
-    queried = np.zeros(n, dtype=bool)
     cum_fp = 0
     cum_missed = 0
     cooldown = 0
@@ -238,7 +237,6 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
         yb = y_stream[start:end]
         p = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], core_trees)
         yhat = p >= theta
-        preds[start:end] = yhat
         scores[start:end] = p
         cum_fp += int(((yb == 0) & yhat).sum())
         cum_missed += int(((yb == 1) & ~yhat).sum())
@@ -267,35 +265,30 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             and ensemble.n_trees < ensemble.max_trees
         ):
             recent = np.arange(max(end - strat.buffer_capacity, 0), end)
-            eligible = recent[~queried[recent]]  # oldest first
+            eligible = recent[~np.isin(recent, ledger.queried_ids)]  # oldest first
             if eligible.size:
                 batch = select_query_batch(scores[eligible], theta, budget, acquisition_policy, rng)
-                ids = eligible[batch.indices].tolist()
-                queried[ids] = True
-                pending.extend(ids)
-                ledger.queried_ids.extend(ids)
+                ledger.queried_ids.extend(eligible[batch.indices].tolist())
                 ledger.trigger_events.append(end)
                 trigger_fired = 1
 
         update_fired = 0
-        if len(pending) >= strat.b_min:
-            idx = np.array(pending, dtype=np.int64)
-            y_queried = y_stream[idx]  # oracle labels: stream ground truth
-            ledger.applied_pos += int((y_queried == 1).sum())
-            ledger.applied_neg += int((y_queried == 0).sum())
+        if len(ledger.queried_ids) - ledger.applied >= strat.b_min:
+            idx = np.array(ledger.queried_ids[ledger.applied :], dtype=np.int64)
             if strat.replay_enabled:
-                # a uniform sample without replacement, drawn before this batch joins
-                k = min(round(strat.replay_ratio * len(pending)), len(replay))
+                # a uniform sample without replacement of the last replay_capacity applied
+                # indices; the slice starts at a bound, so capacity 0 holds none
+                oldest = max(ledger.applied - strat.replay_capacity, 0)
+                replay = ledger.queried_ids[oldest : ledger.applied]
+                k = min(round(strat.replay_ratio * idx.size), len(replay))
                 if k > 0:
                     picked = rng.choice(len(replay), size=k, replace=False)
                     idx = np.concatenate([idx, np.array(replay, dtype=np.int64)[picked]])
                     ledger.replayed += k
-                replay.extend(pending)
-                del replay[: max(len(replay) - strat.replay_capacity, 0)]
             result = gbt.warm_start_update(
                 ensemble,
                 X_stream[idx],
-                y_stream[idx],
+                y_stream[idx],  # oracle labels: stream ground truth
                 objective,
                 settings.train,
                 core.margin[idx],
@@ -306,8 +299,8 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             ensemble = result.ensemble  # hot-swap; effective from the next batch
             # at least one tree was appended: the trigger that filled pending saw room
             ledger.update_events.append(end)
+            ledger.applied = len(ledger.queried_ids)
             update_fired = 1
-            pending.clear()
             cooldown = strat.cooldown_events
 
         cooldown = max(cooldown - (end - start), 0)
@@ -329,14 +322,11 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             )
         )
 
-    beyond = sorted(t for t in schedule if t > n)
-    if beyond:
-        logger.warning("%d scheduled trigger(s) beyond stream end ignored: %s", len(beyond), beyond)
-
     benign_count = int((y_stream == 0).sum())
     stats = missed_positive_stats(
-        y_stream, preds, settings.burst_gap, settings.burst_delay_mode
+        y_stream, scores >= theta, settings.burst_gap, settings.burst_delay_mode
     )
+    applied = y_stream[np.array(ledger.queried_ids[: ledger.applied], dtype=np.int64)]
     endpoints = Endpoints(
         stream_events=n,
         benign_count=benign_count,
@@ -351,8 +341,8 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
         mean_burst_delay=stats.mean_burst_delay,
         queries=len(ledger.queried_ids),
         updates=len(ledger.update_events),
-        applied_pos=ledger.applied_pos,
-        applied_neg=ledger.applied_neg,
+        applied_pos=int((applied == 1).sum()),
+        applied_neg=int((applied == 0).sum()),
         replayed_labels=ledger.replayed,
         realized_query_rate=realized_query_rate(len(ledger.queried_ids), n) if n else 0.0,
         trees=ensemble.n_trees,

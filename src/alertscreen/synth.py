@@ -19,6 +19,10 @@ TOPOLOGIES = ("recurrent-spikes", "single-burst")
 
 CATEGORY_NAMES = ("info", "scan", "policy", "exploit", "malware")
 
+SPIKE_COUNT = 5  # attack spikes of the recurrent-spikes topology
+TIMESTAMP_START = 1_600_000_000_000  # the first event's timestamp
+TIMESTAMP_STEP = 1_000  # between consecutive events
+
 
 @dataclass
 class DriftPoint:
@@ -44,9 +48,6 @@ class SyntheticStreamSpec:
     n_categories: int = 0
     burst_start_frac: float = 0.10
     burst_density: float = 0.50
-    spike_count: int = 5
-    timestamp_start: int = 1_600_000_000_000
-    timestamp_step: int = 1_000
 
     def __post_init__(self):
         check_fields(
@@ -59,7 +60,6 @@ class SyntheticStreamSpec:
             n_categories=interval(f"[0, {len(CATEGORY_NAMES)}]"),
             burst_start_frac=interval("[0, 1]"),
             burst_density=interval("(0, 1]"),
-            spike_count=interval("[1, inf)"),
         )
 
 
@@ -73,7 +73,7 @@ def _place_positives(spec, rng):
         start = min(int(spec.burst_start_frac * spec.length), spec.length - width)
         positions = rng.choice(width, size=n_pos, replace=False) + start
     else:
-        k = max(1, min(spec.spike_count, n_pos))
+        k = min(SPIKE_COUNT, n_pos)
         centers = np.linspace(spec.length * 0.1, spec.length * 0.9, k)
         width = max(n_pos // k * 3, 64)
         chunks = []
@@ -123,7 +123,7 @@ def generate_stream(spec):
     means = _means_per_event(spec, labels)
     X = rng.normal(0.0, 1.0, size=(spec.length, spec.n_features)) + means[:, None]
     categories = _category_column(spec, labels, rng) if spec.n_categories > 0 else None
-    timestamps = spec.timestamp_start + np.arange(spec.length, dtype=np.int64) * spec.timestamp_step
+    timestamps = TIMESTAMP_START + np.arange(spec.length, dtype=np.int64) * TIMESTAMP_STEP
     return timestamps, labels, X, categories
 
 

@@ -214,7 +214,11 @@ def test_controller_ledger_invariants(ledger_stream):
         assert all(p < settings.strategy.b_min for p in pending.pending_before_trigger)
         assert max(pending.pending_after_batch) < settings.strategy.b_min
 
-        # (e) frozen adds nothing beyond pure prediction
+        # (e) warm starts applied a prefix of the queries; what is left is below the minimum batch
+        assert e.applied_pos + e.applied_neg == result.ledger.applied
+        assert len(ids) - result.ledger.applied < settings.strategy.b_min
+
+        # (f) frozen adds nothing beyond pure prediction
         if kind == "frozen":
             reference = pure_prediction_trace(
                 data.X_train, data.y_train, data.X_stream, data.y_stream, settings
@@ -276,9 +280,13 @@ def test_directional_end_to_end(tmp_path):
         manifest_path = tmp_path / f"d{seed}.manifest"
         write_dataset(spec, csv_path, manifest_path)
         data = prepare_dataset(csv_path, manifest_path, 40)
+        core = None  # the seed's first run trains the core its other strategies reuse
         for kind in fp1m:
             settings = RunSettings(strategy=StrategyConfig(kind=kind), seed=seed)
-            result = run_stream(data.X_train, data.y_train, data.X_stream, data.y_stream, settings)
+            result = run_stream(
+                data.X_train, data.y_train, data.X_stream, data.y_stream, settings, core
+            )
+            core = result.core
             fp1m[kind].append(result.endpoints.fp_per_million_benign)
             rate[kind].append(result.endpoints.realized_query_rate)
     assert np.median(fp1m["adwin-hybrid"]) < np.median(fp1m["frozen"])

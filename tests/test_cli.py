@@ -474,20 +474,41 @@ def test_training_prefix_without_benign_event_is_a_data_error(tmp_path, capsys, 
     "entries,code",
     [([3500, -5, 0], 2), ([1500], 2), ([1000, 3000, 99000], 0)],
 )
-def test_schedule_entries_must_be_batch_ends(dataset, tmp_path, capsys, entries, code):
+def test_schedule_entries_must_be_batch_ends(dataset, tmp_path, capsys, caplog, entries, code):
     schedule = tmp_path / "triggers.txt"
     schedule.write_text("".join(f"{t}\n" for t in entries))
     out = tmp_path / "out"
     extra = ["--strategy.trigger_schedule", str(schedule)]
-    args = _run_args(dataset, out, strategy="matched-replay", extra=extra)
-    assert main(args) == code
+    args = _run_args(dataset, out, strategy="matched-replay", seed="42,43", extra=extra)
+    with caplog.at_level("WARNING"):
+        assert main(args) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("data error: ") and str(sorted(entries)) in err
         assert err.count("\n") == 1
         assert not out.exists()
     else:
-        assert (out / "matched-replay" / "42" / "triggers.txt").read_text() == "1000\n3000\n"
+        for seed in ("42", "43"):
+            assert (out / "matched-replay" / seed / "triggers.txt").read_text() == "1000\n3000\n"
+        # entries beyond the stream end warn once per run, not once per cell
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["1 scheduled trigger(s) beyond stream end ignored: [99000]"]
+
+
+def test_a_cell_reruns_from_its_config_file(dataset, tmp_path):
+    schedule = tmp_path / "triggers.txt"
+    schedule.write_text("1000\n3000\n")
+    first = tmp_path / "first"
+    extra = ["--strategy.trigger_schedule", str(schedule)]
+    assert main(_run_args(dataset, first, strategy="adwin-hybrid,matched-replay", extra=extra)) == 0
+    for strategy in ("adwin-hybrid", "matched-replay"):
+        cell = first / strategy / "42"
+        assert (cell / "triggers.txt").read_text()  # the cell queried, so the rerun repeats work
+        # config.txt names the cell's own directory as run.out, so --out is still required
+        again = tmp_path / f"again-{strategy}"
+        assert main(["run", "--config", str(cell / "config.txt"), "--out", str(again)]) == 0
+        for name in ("trace.csv", "endpoints.txt", "triggers.txt"):
+            assert (again / strategy / "42" / name).read_bytes() == (cell / name).read_bytes()
 
 
 # (dataset text, manifest text) -> the bytes of (dataset, manifest, --config or None)
