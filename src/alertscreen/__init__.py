@@ -6,5 +6,5 @@ endpoints (benign-normalized FP burden, positive-window recall, realized
 query rate).
 """
 
-from .controller import RunSettings, StrategyConfig, run_stream
+from .controller import RunSettings, run_stream
 from .ingest import prepare_dataset

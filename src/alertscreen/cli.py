@@ -11,7 +11,8 @@ import logging
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .config import (
@@ -27,8 +28,8 @@ from .config import (
 from .controller import STRATEGIES, run_stream
 from .ingest import DataError, prepare_dataset
 from .metrics import Endpoints, bayes_projection, multiseed_summary, trace_to_csv
-from .schema import write_pairs
-from .synth import TOPOLOGIES, DriftPoint, SyntheticStreamSpec, write_dataset
+from .schema import parse_value, write_pairs
+from .synth import DriftPoint, SyntheticStreamSpec, write_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -41,9 +42,6 @@ RUN_FLAGS = {
     "run.seeds": ("--seed", "seed, comma-separated for a sweep"),
     "run.out": ("--out", "output directory"),
 }
-
-# synth's parsed arguments that are not SyntheticStreamSpec fields
-SYNTH_OTHER_ARGS = ("command", "out", "manifest", "drift")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,21 +75,16 @@ def build_parser():
     p_synth.add_argument(
         "--manifest", default=None, help="manifest output path (default <out>.manifest)"
     )
-    p_synth.add_argument("--length", type=int)
-    p_synth.add_argument("--prevalence", type=float)
-    p_synth.add_argument("--n-features", type=int)
-    p_synth.add_argument("--n-categories", type=int)
-    p_synth.add_argument("--topology", dest="attack_topology", choices=TOPOLOGIES)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--class-separation", type=float)
-    p_synth.add_argument(
-        "--burst-start", dest="burst_start_frac", metavar="BURST_START", type=float
-    )
-    p_synth.add_argument("--burst-density", type=float)
+    for f in fields(SyntheticStreamSpec):
+        if f.name != "drift_points":
+            parse = partial(parse_value, kind=f.type)
+            parse.__name__ = f.type.__name__  # the type argparse names in an error line
+            p_synth.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=parse)
     p_synth.add_argument(
         "--drift",
+        dest="drift_points",
         action="append",
-        default=[],
+        type=_parse_drift,
         metavar="INDEX:BENIGN_MEAN[:MALICIOUS_MEAN]",
         help="class-conditional mean shift from an event index on (repeatable)",
     )
@@ -187,7 +180,7 @@ def cmd_run(args):
         int(data.y_stream.sum()),
     )
     if schedule is not None:
-        _check_trigger_schedule(schedule, data.y_stream.size, cfg.settings.strategy.batch_size)
+        _check_trigger_schedule(schedule, data.y_stream.size, cfg.settings.batch_size)
 
     out_root = Path(cfg.out_dir)
     cores = {}  # seed -> the frozen core its first cell trained, shared by its later cells
@@ -218,26 +211,21 @@ def _round_or_empty(value):
     return "" if value is None else f"{round(value)}"
 
 
-def _parse_drift(entries):
-    points = []
-    for entry in entries:
-        parts = entry.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"bad --drift value: {entry!r}")
-        try:
-            index = int(parts[0])
-            benign = float(parts[1])
-            malicious = float(parts[2]) if len(parts) == 3 else None
-        except ValueError as exc:
-            raise ConfigError(f"bad --drift value {entry!r}: {exc}") from exc
-        points.append(DriftPoint(index=index, benign_mean=benign, malicious_mean=malicious))
-    return points
+def _parse_drift(entry):
+    """One ``--drift`` entry; its ConfigError passes through argparse, which catches ValueError."""
+    parts = entry.split(":")
+    if len(parts) not in (2, 3):
+        raise ConfigError(f"bad --drift value: {entry!r}")
+    try:
+        return DriftPoint(*(parse_value(t, f.type) for t, f in zip(parts, fields(DriftPoint))))
+    except ValueError as exc:
+        raise ConfigError(f"bad --drift value {entry!r}: {exc}") from exc
 
 
 def cmd_synth(args):
+    given = [f.name for f in fields(SyntheticStreamSpec) if f.name in args]
     try:
-        given = {k: v for k, v in vars(args).items() if k not in SYNTH_OTHER_ARGS}
-        spec = SyntheticStreamSpec(drift_points=_parse_drift(args.drift), **given)
+        spec = SyntheticStreamSpec(**{name: getattr(args, name) for name in given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     manifest_path = args.manifest or args.out + ".manifest"

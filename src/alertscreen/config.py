@@ -6,8 +6,8 @@ parse yields the same configuration). Every streaming default is populated
 when a key is omitted.
 
 Types, defaults and value domains live on the dataclasses a run uses
-(``RunSettings``, ``StrategyConfig``, ``TrainConfig``, ``Objective``);
-``CONFIG_KEYS`` maps each public key to the field that holds it.
+(``RunSettings``, ``TrainConfig``, ``Objective``); ``CONFIG_KEYS`` maps
+each public key to the field that holds it.
 """
 
 import os
@@ -59,16 +59,16 @@ CONFIG_KEYS = {
     "adwin.delta": "settings.adwin_delta",
     "acquisition.policy": "settings.acquisition_policy",
     "acquisition.nominal_budget_fraction": "settings.nominal_budget_fraction",
-    "controller.periodic_interval": "settings.strategy.periodic_interval",
-    "controller.cooldown_events": "settings.strategy.cooldown_events",
-    "controller.b_min": "settings.strategy.b_min",
-    "controller.buffer_capacity": "settings.strategy.buffer_capacity",
-    "controller.batch_size": "settings.strategy.batch_size",
-    "periodic.max_updates": "settings.strategy.periodic_max_updates",
+    "controller.periodic_interval": "settings.periodic_interval",
+    "controller.cooldown_events": "settings.cooldown_events",
+    "controller.b_min": "settings.b_min",
+    "controller.buffer_capacity": "settings.buffer_capacity",
+    "controller.batch_size": "settings.batch_size",
+    "periodic.max_updates": "settings.periodic_max_updates",
     "strategy.trigger_schedule": "trigger_schedule_path",
-    "replay.enabled": "settings.strategy.replay_enabled",
-    "replay.capacity": "settings.strategy.replay_capacity",
-    "replay.ratio": "settings.strategy.replay_ratio",
+    "replay.enabled": "settings.replay_enabled",
+    "replay.capacity": "settings.replay_capacity",
+    "replay.ratio": "settings.replay_ratio",
     "metrics.rolling_window": "settings.rolling_window",
     "metrics.burst_gap": "settings.burst_gap",
     "metrics.burst_delay_mode": "settings.burst_delay_mode",
@@ -168,5 +168,4 @@ def validate_config(cfg):
 
 def build_settings(cfg, strategy_kind, seed, trigger_schedule=None):
     """RunSettings for one (strategy, seed) cell of the matrix."""
-    strategy = replace(cfg.settings.strategy, kind=strategy_kind, trigger_schedule=trigger_schedule)
-    return replace(cfg.settings, strategy=strategy, seed=seed)
+    return replace(cfg.settings, kind=strategy_kind, trigger_schedule=trigger_schedule, seed=seed)

@@ -53,7 +53,9 @@ STRATEGIES = {
 QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if trigger)
 
 @dataclass
-class StrategyConfig:
+class RunSettings:
+    """Everything one streaming run needs besides the data itself."""
+
     kind: str = "adwin-hybrid"
     periodic_interval: int = 10_000
     cooldown_events: int = 2_000
@@ -65,27 +67,6 @@ class StrategyConfig:
     replay_ratio: float = 0.5
     trigger_schedule: list | None = None
     periodic_max_updates: int | None = None
-
-    def __post_init__(self):
-        check_fields(
-            self,
-            kind=one_of(STRATEGIES),
-            periodic_interval=interval("[1, inf)"),
-            cooldown_events=interval("[0, inf)"),
-            b_min=interval("[1, inf)"),
-            buffer_capacity=interval("[1, inf)"),
-            batch_size=interval("[1, inf)"),
-            replay_capacity=interval("[0, inf)"),
-            replay_ratio=interval("[0, 1]"),
-            periodic_max_updates=interval("[0, inf)"),
-        )
-
-
-@dataclass
-class RunSettings:
-    """Everything one streaming run needs besides the data itself."""
-
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
     objective: Objective = field(default_factory=Objective)
     train: gbt.TrainConfig = field(default_factory=gbt.TrainConfig)
     threshold_policy: str = "max-f1"
@@ -103,6 +84,15 @@ class RunSettings:
     def __post_init__(self):
         check_fields(
             self,
+            kind=one_of(STRATEGIES),
+            periodic_interval=interval("[1, inf)"),
+            cooldown_events=interval("[0, inf)"),
+            b_min=interval("[1, inf)"),
+            buffer_capacity=interval("[1, inf)"),
+            batch_size=interval("[1, inf)"),
+            replay_capacity=interval("[0, inf)"),
+            replay_ratio=interval("[0, 1]"),
+            periodic_max_updates=interval("[0, inf)"),
             threshold_policy=one_of(THRESHOLD_POLICIES),
             tail_fraction=interval("(0, 1]"),
             grid_points=interval("[2, inf)"),
@@ -119,7 +109,7 @@ class RunSettings:
     @property
     def query_budget(self):
         """Labels asked per trigger: the budget fraction of the recent-event buffer, rounded."""
-        return int(round(self.nominal_budget_fraction * self.strategy.buffer_capacity))
+        return int(round(self.nominal_budget_fraction * self.buffer_capacity))
 
 
 @dataclass
@@ -191,13 +181,12 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     ``core``, built for the same data and inputs by ``build_core`` or an
     earlier run, is used as is; the result equals a run that builds its own.
     """
-    strat = settings.strategy
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
     X_stream = np.asarray(X_stream, dtype=np.float64)
     y_stream = np.asarray(y_stream, dtype=np.int64)
 
-    trigger, acquisition_policy, threshold_policy = STRATEGIES[strat.kind]
+    trigger, acquisition_policy, threshold_policy = STRATEGIES[settings.kind]
     acquisition_policy = acquisition_policy or settings.acquisition_policy
     threshold_policy = threshold_policy or settings.threshold_policy
 
@@ -220,7 +209,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
 
     adwin = AdwinDetector(settings.adwin_delta) if trigger == "adwin" else None
     budget = settings.query_budget
-    schedule = set(strat.trigger_schedule or []) if trigger == "schedule" else set()
+    schedule = set(settings.trigger_schedule or []) if trigger == "schedule" else set()
 
     window = RollingWindow(settings.rolling_window)
     ledger = RunLedger()
@@ -232,8 +221,8 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     cooldown = 0
     trace = []
 
-    for start in range(0, n, strat.batch_size):
-        end = min(start + strat.batch_size, n)
+    for start in range(0, n, settings.batch_size):
+        end = min(start + settings.batch_size, n)
         yb = y_stream[start:end]
         p = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], core_trees)
         yhat = p >= theta
@@ -246,10 +235,10 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
         if trigger == "adwin":
             triggered = adwin.update(p) > 0
         elif trigger == "periodic":
-            crossed = end // strat.periodic_interval > start // strat.periodic_interval
+            crossed = end // settings.periodic_interval > start // settings.periodic_interval
             capped = (
-                strat.periodic_max_updates is not None
-                and len(ledger.update_events) >= strat.periodic_max_updates
+                settings.periodic_max_updates is not None
+                and len(ledger.update_events) >= settings.periodic_max_updates
             )
             triggered = crossed and not capped
         elif trigger == "schedule":
@@ -264,7 +253,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             and budget > 0
             and ensemble.n_trees < ensemble.max_trees
         ):
-            recent = np.arange(max(end - strat.buffer_capacity, 0), end)
+            recent = np.arange(max(end - settings.buffer_capacity, 0), end)
             eligible = recent[~np.isin(recent, ledger.queried_ids)]  # oldest first
             if eligible.size:
                 batch = select_query_batch(scores[eligible], theta, budget, acquisition_policy, rng)
@@ -273,14 +262,14 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
                 trigger_fired = 1
 
         update_fired = 0
-        if len(ledger.queried_ids) - ledger.applied >= strat.b_min:
+        if len(ledger.queried_ids) - ledger.applied >= settings.b_min:
             idx = np.array(ledger.queried_ids[ledger.applied :], dtype=np.int64)
-            if strat.replay_enabled:
+            if settings.replay_enabled:
                 # a uniform sample without replacement of the last replay_capacity applied
                 # indices; the slice starts at a bound, so capacity 0 holds none
-                oldest = max(ledger.applied - strat.replay_capacity, 0)
+                oldest = max(ledger.applied - settings.replay_capacity, 0)
                 replay = ledger.queried_ids[oldest : ledger.applied]
-                k = min(round(strat.replay_ratio * idx.size), len(replay))
+                k = min(round(settings.replay_ratio * idx.size), len(replay))
                 if k > 0:
                     picked = rng.choice(len(replay), size=k, replace=False)
                     idx = np.concatenate([idx, np.array(replay, dtype=np.int64)[picked]])
@@ -301,7 +290,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             ledger.update_events.append(end)
             ledger.applied = len(ledger.queried_ids)
             update_fired = 1
-            cooldown = strat.cooldown_events
+            cooldown = settings.cooldown_events
 
         cooldown = max(cooldown - (end - start), 0)
 

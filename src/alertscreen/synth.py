@@ -33,7 +33,8 @@ class DriftPoint:
     malicious_mean: float | None = None  # None keeps the previous value
 
     def __post_init__(self):
-        check_fields(self, index=interval("[0, inf)"))
+        finite = interval("(-inf, inf)")
+        check_fields(self, index=interval("[0, inf)"), benign_mean=finite, malicious_mean=finite)
 
 
 @dataclass
@@ -42,11 +43,11 @@ class SyntheticStreamSpec:
     prevalence: float = 0.01
     n_features: int = 4
     drift_points: list = field(default_factory=list)
-    attack_topology: str = "recurrent-spikes"
+    topology: str = "recurrent-spikes"
     seed: int = 0
     class_separation: float = 2.0
     n_categories: int = 0
-    burst_start_frac: float = 0.10
+    burst_start: float = 0.10
     burst_density: float = 0.50
 
     def __post_init__(self):
@@ -55,10 +56,11 @@ class SyntheticStreamSpec:
             length=interval("[1, inf)"),
             prevalence=interval("(0, 0.05]"),  # the low-prevalence regime
             n_features=interval("[0, inf)"),
-            attack_topology=one_of(TOPOLOGIES),
+            topology=one_of(TOPOLOGIES),
             seed=interval("[0, inf)"),
+            class_separation=interval("(-inf, inf)"),
             n_categories=interval(f"[0, {len(CATEGORY_NAMES)}]"),
-            burst_start_frac=interval("[0, 1]"),
+            burst_start=interval("[0, 1]"),
             burst_density=interval("(0, 1]"),
         )
 
@@ -68,9 +70,9 @@ def _place_positives(spec, rng):
     labels = np.zeros(spec.length, dtype=np.int64)
     if n_pos == 0:
         return labels
-    if spec.attack_topology == "single-burst":
+    if spec.topology == "single-burst":
         width = min(spec.length, max(n_pos, int(np.ceil(n_pos / spec.burst_density))))
-        start = min(int(spec.burst_start_frac * spec.length), spec.length - width)
+        start = min(int(spec.burst_start * spec.length), spec.length - width)
         positions = rng.choice(width, size=n_pos, replace=False) + start
     else:
         k = min(SPIKE_COUNT, n_pos)
@@ -95,8 +97,9 @@ def _means_per_event(spec, labels):
     for d in points:
         benign.append(d.benign_mean)
         malicious.append(malicious[-1] if d.malicious_mean is None else d.malicious_mean)
-    # an event's segment counts the points at or before it, so a later point at one index wins
-    indices = np.array([d.index for d in points], dtype=np.int64)
+    # an event's segment counts the points at or before it, so a later point at one index wins;
+    # a point at or past the end changes no event, so its index is clipped to the length
+    indices = np.array([min(d.index, spec.length) for d in points], dtype=np.int64)
     segment = np.searchsorted(indices, np.arange(spec.length), side="right")
     means = np.array([benign, malicious], dtype=np.float64)[:, segment]
     return np.where(labels == 1, means[1], means[0])

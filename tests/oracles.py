@@ -369,8 +369,8 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
     rows = []
     cum_fp = cum_missed = 0
     n = y_stream.size
-    for start in range(0, n, settings.strategy.batch_size):
-        end = min(start + settings.strategy.batch_size, n)
+    for start in range(0, n, settings.batch_size):
+        end = min(start + settings.batch_size, n)
         yb = y_stream[start:end]
         yhat = ensemble.predict_proba(X_stream[start:end]) >= theta
         cum_fp += int(((yb == 0) & yhat).sum())

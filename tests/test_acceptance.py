@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from alertscreen.cli import main
-from alertscreen.controller import RunSettings, StrategyConfig, run_stream
+from alertscreen.controller import RunSettings, run_stream
 from alertscreen.ingest import prepare_dataset
 from alertscreen.metrics import (
     RollingWindow,
@@ -56,21 +56,24 @@ def criterion(num, name):
 # --- shared streams ----------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def ledger_stream(tmp_path_factory):
-    """One 100k-event synthetic stream with a mid-stream benign drift."""
-    root = tmp_path_factory.mktemp("ledger")
+def _drift_stream(root, seed):
+    """A 100k-event synthetic stream with a mid-stream benign drift."""
     spec = SyntheticStreamSpec(
         length=100_000,
         prevalence=0.004,
         n_features=4,
-        attack_topology="single-burst",
-        burst_start_frac=0.08,
-        seed=40,
+        topology="single-burst",
+        burst_start=0.08,
+        seed=seed,
         drift_points=[DriftPoint(index=50_000, benign_mean=2.0)],
     )
-    write_dataset(spec, root / "s.csv", root / "s.manifest")
-    return prepare_dataset(root / "s.csv", root / "s.manifest", 40)
+    write_dataset(spec, root / f"d{seed}.csv", root / f"d{seed}.manifest")
+    return prepare_dataset(root / f"d{seed}.csv", root / f"d{seed}.manifest", 40)
+
+
+@pytest.fixture(scope="module")
+def ledger_stream(tmp_path_factory):
+    return _drift_stream(tmp_path_factory.mktemp("ledger"), 40)
 
 
 @pytest.fixture(scope="module")
@@ -182,9 +185,13 @@ def test_acquisition_oracle():
 @criterion(6, "controller ledger invariants hold on a 100k-event stream")
 def test_controller_ledger_invariants(ledger_stream):
     data = ledger_stream
+    core = None  # the first run trains the core the other strategies reuse
     for kind in ("frozen", "periodic", "adwin-random", "adwin-hybrid", "threshold-only"):
-        settings = RunSettings(strategy=StrategyConfig(kind=kind), seed=42)
-        result = run_stream(data.X_train, data.y_train, data.X_stream, data.y_stream, settings)
+        settings = RunSettings(kind=kind, seed=42)
+        result = run_stream(
+            data.X_train, data.y_train, data.X_stream, data.y_stream, settings, core
+        )
+        core = result.core
         e = result.endpoints
 
         # (a) ensemble growth ledger
@@ -201,22 +208,22 @@ def test_controller_ledger_invariants(ledger_stream):
         for row in result.trace:
             assert not (row.trigger_fired and cooldown > 0)
             if row.update_fired:
-                cooldown = settings.strategy.cooldown_events
+                cooldown = settings.cooldown_events
             cooldown = max(cooldown - (row.batch_end_index - prev_end), 0)
             prev_end = row.batch_end_index
         for t in result.ledger.trigger_events:
             earlier = [u for u in result.ledger.update_events if u < t]
             if earlier:
-                assert t - earlier[-1] >= settings.strategy.cooldown_events
+                assert t - earlier[-1] >= settings.cooldown_events
 
         # (d) pending below the minimum batch at every update boundary entry
         pending = trace_ledger(result.trace)
-        assert all(p < settings.strategy.b_min for p in pending.pending_before_trigger)
-        assert max(pending.pending_after_batch) < settings.strategy.b_min
+        assert all(p < settings.b_min for p in pending.pending_before_trigger)
+        assert max(pending.pending_after_batch) < settings.b_min
 
         # (e) warm starts applied a prefix of the queries; what is left is below the minimum batch
         assert e.applied_pos + e.applied_neg == result.ledger.applied
-        assert len(ids) - result.ledger.applied < settings.strategy.b_min
+        assert len(ids) - result.ledger.applied < settings.b_min
 
         # (f) frozen adds nothing beyond pure prediction
         if kind == "frozen":
@@ -263,26 +270,14 @@ def test_metrics_recount_oracle():
 
 
 @criterion(8, "drift-triggered querying beats frozen burden at lower cost than periodic")
-def test_directional_end_to_end(tmp_path):
+def test_directional_end_to_end(ledger_stream, tmp_path):
     fp1m = {"frozen": [], "periodic": [], "adwin-hybrid": []}
     rate = {"frozen": [], "periodic": [], "adwin-hybrid": []}
     for seed in (40, 41, 42):
-        spec = SyntheticStreamSpec(
-            length=100_000,
-            prevalence=0.004,
-            n_features=4,
-            attack_topology="single-burst",
-            burst_start_frac=0.08,
-            seed=seed,
-            drift_points=[DriftPoint(index=50_000, benign_mean=2.0)],
-        )
-        csv_path = tmp_path / f"d{seed}.csv"
-        manifest_path = tmp_path / f"d{seed}.manifest"
-        write_dataset(spec, csv_path, manifest_path)
-        data = prepare_dataset(csv_path, manifest_path, 40)
+        data = ledger_stream if seed == 40 else _drift_stream(tmp_path, seed)
         core = None  # the seed's first run trains the core its other strategies reuse
         for kind in fp1m:
-            settings = RunSettings(strategy=StrategyConfig(kind=kind), seed=seed)
+            settings = RunSettings(kind=kind, seed=seed)
             result = run_stream(
                 data.X_train, data.y_train, data.X_stream, data.y_stream, settings, core
             )
@@ -333,15 +328,13 @@ def test_matched_replay_contract():
     )
     free = run_stream(
         X_train, y_train, X_stream, y_stream,
-        RunSettings(strategy=StrategyConfig(kind="adwin-hybrid"), seed=42),
+        RunSettings(kind="adwin-hybrid", seed=42),
     )
     assert free.ledger.trigger_events
     replay = run_stream(
         X_train, y_train, X_stream, y_stream,
         RunSettings(
-            strategy=StrategyConfig(
-                kind="matched-replay", trigger_schedule=free.ledger.trigger_events
-            ),
+            kind="matched-replay", trigger_schedule=free.ledger.trigger_events,
             acquisition_policy="hybrid",
             seed=42,
         ),
@@ -352,7 +345,7 @@ def test_matched_replay_contract():
     gated = run_stream(
         X_train, y_train, X_stream, y_stream,
         RunSettings(
-            strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[3_000, 4_000]),
+            kind="matched-replay", trigger_schedule=[3_000, 4_000],
             acquisition_policy="hybrid",
             seed=42,
         ),

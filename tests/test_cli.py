@@ -1,13 +1,16 @@
+import argparse
 import dataclasses
 import math
 
 import pytest
 
 from alertscreen import cli, gbt
-from alertscreen.cli import RUN_FILES, main
+from alertscreen.cli import RUN_FILES, build_parser, main
 from alertscreen.config import CONFIG_KEYS, RunConfig, parse_config_text, serialize_config
 from alertscreen.metrics import Endpoints
 from alertscreen.objectives import Objective
+from alertscreen.schema import format_value
+from alertscreen.synth import DriftPoint, SyntheticStreamSpec, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +75,9 @@ def test_config_round_trip_identity():
     settings.tail_fraction = 0.3
     settings.adwin_delta = 0.01
     settings.acquisition_policy = "uncertainty"
-    settings.strategy.cooldown_events = 1_500
-    settings.strategy.periodic_max_updates = 4
-    settings.strategy.replay_enabled = True
+    settings.cooldown_events = 1_500
+    settings.periodic_max_updates = 4
+    settings.replay_enabled = True
     settings.burst_delay_mode = "events"
     text = serialize_config(cfg)
     parsed = parse_config_text(text)
@@ -82,7 +85,7 @@ def test_config_round_trip_identity():
     assert serialize_config(parsed) == text
     assert "periodic.max_updates=4\n" in text and "replay.enabled=true\n" in text
 
-    settings.strategy.periodic_max_updates = None
+    settings.periodic_max_updates = None
     text = serialize_config(cfg)
     assert "periodic.max_updates=\n" in text
     assert parse_config_text(text) == cfg
@@ -426,6 +429,10 @@ def test_unusable_run_paths_and_files_end_with_a_message(
         ["synth", "--out", "{tmp}/s.csv", "--topology", "single-burst", "--burst-density", "0"],
         ["synth", "--out", "{tmp}/missing_dir/s.csv", "--length", "100"],
         ["synth", "--out", "{tmp}/s.csv", "--drift=-5:2.0"],
+        # non-finite means would write non-finite feature cells
+        ["synth", "--out", "{tmp}/s.csv", "--length", "100", "--class-separation", "nan"],
+        ["synth", "--out", "{tmp}/s.csv", "--length", "100", "--class-separation", "inf"],
+        ["synth", "--out", "{tmp}/s.csv", "--length", "100", "--drift", "5:1e400"],
         ["project", "--recall", "2", "--fpr", "0.001", "--prior", "0.001"],
         ["project", "--recall", "0.9", "--fpr", "-1", "--prior", "0.001"],
         # usage errors that argparse finds: a value of the wrong type, a missing flag
@@ -439,6 +446,78 @@ def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+    assert not (tmp_path / "s.csv").exists()
+
+
+def _synth_bytes(tmp_path, name, *args):
+    out = tmp_path / f"{name}.csv"
+    assert main(["synth", "--out", str(out), "--length", "300", "--seed", "3", *args]) == 0
+    return out.read_bytes(), (tmp_path / f"{name}.csv.manifest").read_bytes()
+
+
+def test_drift_index_past_the_end_writes_the_bytes_of_no_drift(tmp_path):
+    huge = _synth_bytes(tmp_path, "huge", "--drift", "1000000000000000000000:1")
+    assert huge == _synth_bytes(tmp_path, "none")
+
+
+def test_empty_malicious_drift_part_keeps_the_previous_mean(tmp_path):
+    empty = _synth_bytes(tmp_path, "empty", "--drift", "100:1.5:")
+    assert empty == _synth_bytes(tmp_path, "omitted", "--drift", "100:1.5")
+
+
+# synth flag -> the SyntheticStreamSpec field it sets
+SPEC_FLAGS = {
+    "--" + f.name.replace("_", "-"): f
+    for f in dataclasses.fields(SyntheticStreamSpec)
+    if f.name != "drift_points"
+}
+
+
+def test_synth_has_one_flag_per_spec_field():
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for a in commands.choices["synth"]._actions for flag in a.option_strings}
+    assert flags - {"-h", "--help"} == {*SPEC_FLAGS, "--out", "--manifest", "--drift"}
+
+
+def test_synth_flags_write_the_bytes_of_the_equal_spec(tmp_path):
+    spec = SyntheticStreamSpec(
+        length=3_000,
+        prevalence=0.03,
+        n_features=2,
+        drift_points=[DriftPoint(1_000, 1.0), DriftPoint(2_000, 0.5, 3.0)],
+        topology="single-burst",
+        seed=5,
+        class_separation=1.5,
+        n_categories=3,
+        burst_start=0.3,
+        burst_density=0.7,
+    )
+    assert all(getattr(spec, f.name) != f.default for f in SPEC_FLAGS.values())
+    args = ["synth", "--out", str(tmp_path / "cli.csv"), "--manifest", str(tmp_path / "cli.mf")]
+    for flag, f in SPEC_FLAGS.items():
+        args += [flag, format_value(getattr(spec, f.name))]
+    assert main(args + ["--drift", "1000:1.0", "--drift", "2000:0.5:3.0"]) == 0
+    write_dataset(spec, tmp_path / "lib.csv", tmp_path / "lib.mf")
+    for name in ("csv", "mf"):
+        assert (tmp_path / f"cli.{name}").read_bytes() == (tmp_path / f"lib.{name}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        (flag, "x", f"argument {flag}: invalid {f.type.__name__} value: 'x'")
+        for flag, f in SPEC_FLAGS.items()
+        if f.type is not str
+    ]
+    + [
+        ("--topology", "wave", "topology must be one of"),
+        ("--drift", "5:x", "bad --drift value '5:x': could not convert string to float"),
+    ],
+)
+def test_a_bad_synth_value_names_its_flag(tmp_path, capsys, flag, value, message):
+    assert main(["synth", "--out", str(tmp_path / "s.csv"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -10,7 +10,6 @@ from alertscreen import gbt
 from alertscreen.controller import (
     STRATEGIES,
     RunSettings,
-    StrategyConfig,
     build_core,
     run_stream,
 )
@@ -18,8 +17,8 @@ from alertscreen.drift import AdwinDetector
 from alertscreen.metrics import trace_to_csv
 
 
-def _settings(kind, seed=42, **strategy_kwargs):
-    return RunSettings(strategy=StrategyConfig(kind=kind, **strategy_kwargs), seed=seed)
+def _settings(kind, seed=42, **kwargs):
+    return RunSettings(kind=kind, seed=seed, **kwargs)
 
 
 def test_frozen_makes_no_queries_and_keeps_the_ensemble(small_splits):
@@ -64,7 +63,7 @@ def test_pending_accumulates_across_triggers_until_b_min():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=3, n_stream=12_000)
     # budget 20 via 0.004 * 5000; two scheduled triggers; update only after 40
     settings = RunSettings(
-        strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[3_000, 7_000]),
+        kind="matched-replay", trigger_schedule=[3_000, 7_000],
         nominal_budget_fraction=0.004,
         seed=42,
     )
@@ -81,10 +80,7 @@ def test_pending_accumulates_across_triggers_until_b_min():
 
 def test_matched_replay_single_trigger_full_budget():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=4, n_stream=10_000)
-    settings = RunSettings(
-        strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[6_000]),
-        seed=42,
-    )
+    settings = RunSettings(kind="matched-replay", trigger_schedule=[6_000], seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert trace_ledger(result.trace).trigger_sizes == [50]
     assert result.endpoints.queries == 50
@@ -99,7 +95,7 @@ def test_empty_schedule_equals_frozen():
         y_train,
         X_stream,
         y_stream,
-        RunSettings(strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[]), seed=42),
+        RunSettings(kind="matched-replay", trigger_schedule=[], seed=42),
     )
     assert replay.trace == frozen.trace
     assert replay.endpoints == frozen.endpoints
@@ -108,10 +104,7 @@ def test_empty_schedule_equals_frozen():
 def test_schedule_beyond_stream_end_ignored_with_warning():
     # the warning is the CLI's, once per run: test_cli.py::test_schedule_entries_must_be_batch_ends
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=6, n_stream=5_000)
-    settings = RunSettings(
-        strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[3_000, 99_000]),
-        seed=42,
-    )
+    settings = RunSettings(kind="matched-replay", trigger_schedule=[3_000, 99_000], seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.ledger.trigger_events == [3_000]
 
@@ -120,10 +113,7 @@ def test_cooldown_suppresses_scheduled_triggers():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=7, n_stream=12_000)
     # trigger at 3000 fires and updates (budget 50 >= b_min 32); 4000 lands
     # inside the 2000-event cooldown and is skipped, not deferred
-    settings = RunSettings(
-        strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[3_000, 4_000, 8_000]),
-        seed=42,
-    )
+    settings = RunSettings(kind="matched-replay", trigger_schedule=[3_000, 4_000, 8_000], seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.ledger.trigger_events == [3_000, 8_000]
     assert result.ledger.schedule_suppressed_by_cooldown == 1
@@ -131,9 +121,7 @@ def test_cooldown_suppresses_scheduled_triggers():
 
 def test_periodic_triggers_at_interval_multiples():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=8, n_stream=25_000)
-    settings = RunSettings(
-        strategy=StrategyConfig(kind="periodic", periodic_interval=10_000), seed=42
-    )
+    settings = RunSettings(kind="periodic", periodic_interval=10_000, seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.ledger.trigger_events == [10_000, 20_000]
     assert result.endpoints.updates == 2  # budget 50 >= b_min each time
@@ -143,7 +131,7 @@ def test_periodic_triggers_at_interval_multiples():
 def test_periodic_max_updates_caps_triggering():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=8, n_stream=35_000)
     settings = RunSettings(
-        strategy=StrategyConfig(kind="periodic", periodic_interval=10_000, periodic_max_updates=1),
+        kind="periodic", periodic_interval=10_000, periodic_max_updates=1,
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
@@ -165,18 +153,18 @@ def _oscillating_drift_splits(seed, n_stream=24_000):
 
 def test_live_adwin_triggers_honor_cooldown_spacing():
     X_train, y_train, X_stream, y_stream = _oscillating_drift_splits(seed=9)
-    settings = RunSettings(strategy=StrategyConfig(kind="adwin-hybrid"), seed=42)
+    settings = RunSettings(kind="adwin-hybrid", seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.endpoints.updates >= 2
     for t in result.ledger.trigger_events:
         previous_updates = [u for u in result.ledger.update_events if u < t]
         if previous_updates:
-            assert t - previous_updates[-1] >= settings.strategy.cooldown_events
+            assert t - previous_updates[-1] >= settings.cooldown_events
 
 
 def test_no_query_index_repeats_and_budget_accounting():
     X_train, y_train, X_stream, y_stream = _oscillating_drift_splits(seed=10)
-    settings = RunSettings(strategy=StrategyConfig(kind="adwin-random"), seed=42)
+    settings = RunSettings(kind="adwin-random", seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     ids = result.ledger.queried_ids
     assert len(ids) == len(set(ids))
@@ -185,8 +173,8 @@ def test_no_query_index_repeats_and_budget_accounting():
     applied = result.endpoints.applied_pos + result.endpoints.applied_neg
     assert applied <= result.endpoints.queries
     # any remainder still pending at stream end stays below the update batch
-    assert result.endpoints.queries - applied < settings.strategy.b_min
-    assert max(ledger.pending_after_batch) < settings.strategy.b_min
+    assert result.endpoints.queries - applied < settings.b_min
+    assert max(ledger.pending_after_batch) < settings.b_min
     # online missed counter agrees with the full-stream recount
     assert result.trace[-1].cum_missed_pos == result.endpoints.cum_missed_pos
     assert result.trace[-1].cum_fp == result.endpoints.cum_fp
@@ -194,7 +182,7 @@ def test_no_query_index_repeats_and_budget_accounting():
 
 def test_tree_count_matches_update_ledger():
     X_train, y_train, X_stream, y_stream = _oscillating_drift_splits(seed=11)
-    settings = RunSettings(strategy=StrategyConfig(kind="adwin-hybrid"), seed=42)
+    settings = RunSettings(kind="adwin-hybrid", seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     assert result.endpoints.trees == 100 + 10 * result.endpoints.updates
     assert result.endpoints.trees <= settings.train.max_trees
@@ -210,11 +198,7 @@ def test_partial_final_batch_processed():
 def test_replay_variant_reports_replayed_labels():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=13, n_stream=16_000)
     settings = RunSettings(
-        strategy=StrategyConfig(
-            kind="matched-replay",
-            trigger_schedule=[4_000, 8_000, 12_000],
-            replay_enabled=True,
-        ),
+        kind="matched-replay", trigger_schedule=[4_000, 8_000, 12_000], replay_enabled=True,
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
@@ -247,13 +231,11 @@ def test_replay_ratio_and_capacity_bound_replayed_rows(monkeypatch, ratio, capac
 
     monkeypatch.setattr(gbt, "warm_start_update", recording_warm_start)
     settings = RunSettings(
-        strategy=StrategyConfig(
-            kind="matched-replay",
-            trigger_schedule=[4_000, 8_000, 12_000],
-            replay_enabled=True,
-            replay_capacity=capacity,
-            replay_ratio=ratio,
-        ),
+        kind="matched-replay",
+        trigger_schedule=[4_000, 8_000, 12_000],
+        replay_enabled=True,
+        replay_capacity=capacity,
+        replay_ratio=ratio,
         seed=42,
     )
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
@@ -284,9 +266,7 @@ def test_matched_replay_reproduces_recorded_schedule():
         X_stream,
         y_stream,
         RunSettings(
-            strategy=StrategyConfig(
-                kind="matched-replay", trigger_schedule=free.ledger.trigger_events
-            ),
+            kind="matched-replay", trigger_schedule=free.ledger.trigger_events,
             acquisition_policy="hybrid",
             seed=42,
         ),
@@ -300,9 +280,7 @@ def test_matched_replay_reproduces_recorded_schedule():
         X_stream,
         y_stream,
         RunSettings(
-            strategy=StrategyConfig(
-                kind="matched-replay", trigger_schedule=free.ledger.trigger_events
-            ),
+            kind="matched-replay", trigger_schedule=free.ledger.trigger_events,
             acquisition_policy="random",
             seed=42,
         ),
@@ -312,9 +290,7 @@ def test_matched_replay_reproduces_recorded_schedule():
 
 def test_oracle_labels_come_from_stream_ground_truth():
     X_train, y_train, X_stream, y_stream = gaussian_splits(seed=15, n_stream=9_000)
-    settings = RunSettings(
-        strategy=StrategyConfig(kind="matched-replay", trigger_schedule=[5_000]), seed=42
-    )
+    settings = RunSettings(kind="matched-replay", trigger_schedule=[5_000], seed=42)
     result = run_stream(X_train, y_train, X_stream, y_stream, settings)
     ids = np.array(result.ledger.queried_ids)
     assert result.endpoints.applied_pos == int(y_stream[ids].sum())
@@ -341,10 +317,9 @@ IGNORED_POLICIES = {
 @pytest.mark.parametrize("kind", list(STRATEGIES))
 def test_strategy_table_decides_which_configured_policies_apply(drifting_small_splits, kind):
     def run(**policies):
-        strategy = StrategyConfig(
-            kind=kind, periodic_interval=3_000, trigger_schedule=[3_000, 6_000]
+        settings = RunSettings(
+            kind=kind, periodic_interval=3_000, trigger_schedule=[3_000, 6_000], **policies
         )
-        settings = RunSettings(strategy=strategy, seed=42, **policies)
         return run_stream(*drifting_small_splits, settings)
 
     default = run()
@@ -399,15 +374,16 @@ def _grid_settings(batch_size, kind, replay=False):
     schedule = None
     if kind == "matched-replay":  # the schedule adwin-hybrid recorded on this grid row
         schedule = _cold_run(batch_size, "adwin-hybrid").ledger.trigger_events
-    strategy = StrategyConfig(
+    return RunSettings(
         kind=kind,
         batch_size=batch_size,
         periodic_interval=interval,
         cooldown_events=interval // 2,
         replay_enabled=replay,
         trigger_schedule=schedule,
+        train=GRID_TRAIN,
+        seed=42,
     )
-    return RunSettings(strategy=strategy, train=GRID_TRAIN, seed=42)
 
 
 @functools.cache

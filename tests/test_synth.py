@@ -14,14 +14,12 @@ def test_positive_count_within_binomial_bounds():
 
 
 def test_single_burst_confines_positives_to_one_window():
-    spec = SyntheticStreamSpec(
-        length=50_000, prevalence=0.01, attack_topology="single-burst", seed=2
-    )
+    spec = SyntheticStreamSpec(length=50_000, prevalence=0.01, topology="single-burst", seed=2)
     _, labels, _, _ = generate_stream(spec)
     positions = np.nonzero(labels)[0]
     n_pos = positions.size
     width = int(np.ceil(n_pos / spec.burst_density))
-    start = int(spec.burst_start_frac * spec.length)
+    start = int(spec.burst_start * spec.length)
     assert positions.min() >= start
     assert positions.max() < start + width
 
@@ -57,7 +55,7 @@ def test_prevalence_domain_enforced():
     with pytest.raises(ValueError):
         SyntheticStreamSpec(prevalence=0.0)
     with pytest.raises(ValueError):
-        SyntheticStreamSpec(attack_topology="wave")
+        SyntheticStreamSpec(topology="wave")
 
 
 def test_written_dataset_flows_through_ingestion(tmp_path):
