@@ -308,63 +308,55 @@ def compute_bin_edges(X, n_bins):
 
 
 def bin_features(X, bin_edges):
-    binned = np.empty(X.shape, dtype=np.int32)
+    """Each feature's bin numbers, one contiguous row per feature: (features, rows)."""
+    binned = np.empty((len(bin_edges), X.shape[0]), dtype=np.int32)
     for f, e in enumerate(bin_edges):
-        binned[:, f] = np.searchsorted(e, X[:, f], side="right")
+        binned[f] = np.searchsorted(e, X[:, f], side="right")
     return binned
 
 
 def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weight):
     """Best (feature, bin, gain) over histogram cut points, or None.
 
-    Gain must be strictly positive; ties resolve to the smallest feature
-    index then the smallest bin, so growth is deterministic. A cut needs a
-    row on each side, and a side whose h + l2_reg is not positive has no
-    gain. Every h is positive (the objective's floor), so a bin holds rows
-    iff its h sum is positive.
+    Gain must be strictly positive; ties resolve to the first feature of
+    ``feat_ids`` then the smallest bin, so growth is deterministic. A cut
+    needs a row on each side, and a side whose h + l2_reg is not positive
+    has no gain. Every h is positive (the objective's floor), so a bin
+    holds rows iff its h sum is positive. Each feature's histogram is a row
+    of one (features, bins) matrix, zero-padded to the widest feature, so
+    every cut of every feature is scored and masked at once; a padded cut
+    has no row on its right.
     """
     g_rows = g[rows]
     h_rows = h[rows]
     g_total = g_rows.sum()
     h_total = h_rows.sum()
     parent = g_total * g_total / (h_total + l2_reg)
-    best_gain = 0.0
-    best = None
-    for f in feat_ids:
-        nb = n_bins[f]
-        if nb < 2:
-            continue
-        bf = binned[rows, f]
-        hist_g = np.bincount(bf, weights=g_rows, minlength=nb)
-        hist_h = np.bincount(bf, weights=h_rows, minlength=nb)
-        g_left = np.cumsum(hist_g)[:-1]
-        h_left = np.cumsum(hist_h)[:-1]
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        ok = (h_left >= min_child_weight) & (h_right >= min_child_weight)
-        if not ok.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):  # empty sides at l2_reg 0, masked
-            gains = 0.5 * (
-                g_left * g_left / (h_left + l2_reg)
-                + g_right * g_right / (h_right + l2_reg)
-                - parent
-            )
-        gains[~ok] = -np.inf
-        b = int(np.argmax(gains))
-        if gains[b] <= best_gain:  # a NaN, which argmax returns first, is checked below
-            continue
-        valid = h_left[b] > 0 and h_right[b] + l2_reg > 0 and hist_h[b + 1 :].any()
-        if not (valid and math.isfinite(gains[b])):  # so mask every invalid cut
-            occupied = np.flatnonzero(hist_h)
-            ok[: occupied[0]] = ok[occupied[-1] :] = False  # a side without rows
-            gains[~(ok & (h_right + l2_reg > 0))] = -np.inf
-            b = int(np.argmax(gains))
-            if not gains[b] > best_gain:
-                continue
-        best_gain = float(gains[b])
-        best = (f, b, best_gain)
-    return best
+    width = max(n_bins[f] for f in feat_ids)
+    if width < 2:
+        return None
+    hist_g = np.empty((len(feat_ids), width))
+    hist_h = np.empty_like(hist_g)
+    for i, f in enumerate(feat_ids):
+        bf = binned[f][rows]
+        hist_g[i] = np.bincount(bf, weights=g_rows, minlength=width)
+        hist_h[i] = np.bincount(bf, weights=h_rows, minlength=width)
+    g_left = np.cumsum(hist_g, axis=1)[:, :-1]
+    h_left = np.cumsum(hist_h, axis=1)[:, :-1]
+    g_right = g_total - g_left
+    h_right = h_total - h_left
+    occupied = np.cumsum(hist_h > 0, axis=1)  # bins with rows, up to each bin
+    valid = (h_left >= min_child_weight) & (h_right >= min_child_weight)
+    valid &= (h_right + l2_reg > 0) & (occupied[:, :-1] > 0) & (occupied[:, :-1] < occupied[:, -1:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty sides at l2_reg 0, masked
+        gains = 0.5 * (
+            g_left * g_left / (h_left + l2_reg) + g_right * g_right / (h_right + l2_reg) - parent
+        )
+    gains = np.where(valid, gains, -np.inf)
+    i, b = divmod(int(np.argmax(gains)), width - 1)
+    if not gains[i, b] > 0.0:
+        return None
+    return feat_ids[i], b, float(gains[i, b])
 
 
 def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
@@ -385,7 +377,7 @@ def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
             node[4] = -g[node_rows].sum() / (h_sum + config.l2_reg)  # every node has rows
             continue
         f, b, _ = best
-        go_left = binned[node_rows, f] <= b
+        go_left = binned[f][node_rows] <= b
         node[:4] = f, float(bin_edges[f][b]), len(nodes), len(nodes) + 1
         frontier += [(len(nodes), depth + 1, node_rows[go_left])]
         frontier += [(len(nodes) + 1, depth + 1, node_rows[~go_left])]

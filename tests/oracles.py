@@ -6,7 +6,9 @@ differences) and stays independent of the implementation paths it checks.
 The exceptions are `SequentialAdwin`, the per-value bucketed detector kept
 unchanged as the exactness reference for the batched one, and
 `reference_missed_positive_stats`, the per-positive loop kept the same way
-for the array pass of `metrics.missed_positive_stats`.
+for the array pass of `metrics.missed_positive_stats`, and
+`reference_best_split`, the per-feature histogram scan kept for the matrix
+pass of `gbt.find_best_split`.
 """
 
 import math
@@ -210,6 +212,60 @@ def brute_force_best_split(X, g, h, l2_reg, min_child_weight, thresholds_per_fea
             if gain > best_gain:
                 best_gain = gain
                 best = (f, float(thr), gain)
+    return best
+
+
+def reference_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weight):
+    """Best (feature, bin, gain) by one histogram scan per feature, or None.
+
+    The per-feature loop that `gbt.find_best_split` replaced; its matrix
+    pass must equal this bit for bit. ``binned`` holds one row of bin
+    numbers per feature. Each feature's first-found best cut is first
+    taken under the min_child_weight mask alone; only when that cut has an
+    empty side, a side with h + l2_reg not positive, or a non-finite gain
+    is every such cut masked and the search redone.
+    """
+    g_rows = g[rows]
+    h_rows = h[rows]
+    g_total = g_rows.sum()
+    h_total = h_rows.sum()
+    parent = g_total * g_total / (h_total + l2_reg)
+    best_gain = 0.0
+    best = None
+    for f in feat_ids:
+        nb = n_bins[f]
+        if nb < 2:
+            continue
+        bf = binned[f][rows]
+        hist_g = np.bincount(bf, weights=g_rows, minlength=nb)
+        hist_h = np.bincount(bf, weights=h_rows, minlength=nb)
+        g_left = np.cumsum(hist_g)[:-1]
+        h_left = np.cumsum(hist_h)[:-1]
+        g_right = g_total - g_left
+        h_right = h_total - h_left
+        ok = (h_left >= min_child_weight) & (h_right >= min_child_weight)
+        if not ok.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (
+                g_left * g_left / (h_left + l2_reg)
+                + g_right * g_right / (h_right + l2_reg)
+                - parent
+            )
+        gains[~ok] = -np.inf
+        b = int(np.argmax(gains))
+        if gains[b] <= best_gain:  # a NaN, which argmax returns first, is checked below
+            continue
+        valid = h_left[b] > 0 and h_right[b] + l2_reg > 0 and hist_h[b + 1 :].any()
+        if not (valid and math.isfinite(gains[b])):
+            occupied = np.flatnonzero(hist_h)
+            ok[: occupied[0]] = ok[occupied[-1] :] = False  # a side without rows
+            gains[~(ok & (h_right + l2_reg > 0))] = -np.inf
+            b = int(np.argmax(gains))
+            if not gains[b] > best_gain:
+                continue
+        best_gain = float(gains[b])
+        best = (f, b, best_gain)
     return best
 
 

@@ -180,6 +180,19 @@ def test_no_query_index_repeats_and_budget_accounting():
     assert result.trace[-1].cum_fp == result.endpoints.cum_fp
 
 
+def test_overlapping_query_windows_never_requery(small_splits):
+    # a trigger every batch, each window spanning ten earlier triggers' queries
+    settings = _settings(
+        "periodic", periodic_interval=100, cooldown_events=0, buffer_capacity=1_000, batch_size=100
+    )
+    result = run_stream(*small_splits, settings)
+    ids, triggers = result.ledger.queried_ids, result.ledger.trigger_events
+    assert len(ids) == len(set(ids))
+    assert len(ids) == settings.query_budget * len(triggers) and len(triggers) > 50
+    for t, batch in zip(triggers, np.reshape(ids, (len(triggers), -1))):
+        assert (batch >= t - settings.buffer_capacity).all() and (batch < t).all()
+
+
 def test_tree_count_matches_update_ledger():
     X_train, y_train, X_stream, y_stream = _oscillating_drift_splits(seed=11)
     settings = RunSettings(kind="adwin-hybrid", seed=42)

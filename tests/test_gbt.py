@@ -7,7 +7,7 @@ import pytest
 from conftest import gaussian_splits
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_best_split, loss, reference_margin
+from oracles import brute_force_best_split, loss, reference_best_split, reference_margin
 
 from alertscreen.gbt import (
     BoostedEnsemble,
@@ -317,7 +317,7 @@ def test_a_node_below_twice_min_child_weight_has_no_split(mcw, l2_reg, sides, of
         h.append(w * (mcw * (1.0 + offset) / w.sum()))
     h = np.concatenate(h)
     g = rng.normal(size=h.size)
-    binned = np.column_stack([np.repeat([0, 1], sides), rng.integers(0, 4, h.size)])
+    binned = np.array([np.repeat([0, 1], sides), rng.integers(0, 4, h.size)], dtype=np.int32)
     rows, feats, edges = rng.permutation(h.size), np.arange(2), [np.array([0.5]), np.arange(3.0)]
     cfg = TrainConfig(max_depth=1, min_child_weight=mcw, l2_reg=l2_reg)
     best = find_best_split(binned, g, h, rows, feats, [2, 4], l2_reg, mcw)
@@ -325,6 +325,62 @@ def test_a_node_below_twice_min_child_weight_has_no_split(mcw, l2_reg, sides, of
     if h[rows].sum() < 2.0 * mcw * (1.0 - 1e-12):
         assert best is None
     assert (tree.feature[0] >= 0) == (best is not None)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    n_bins=st.lists(st.one_of(st.integers(1, 12), st.integers(200, 256)), min_size=1, max_size=6),
+    n_rows=st.integers(1, 60),
+    h_scales=st.lists(st.sampled_from([1e-16, 1e-3, 1.0, 1e4]), min_size=1, max_size=2),
+    exact=st.booleans(),
+    l2_reg=st.sampled_from([0.0, 1.0]),
+    mcw=st.sampled_from([0.0, 1e-3, 1.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_search_matches_the_per_feature_scan(
+    n_bins, n_rows, h_scales, exact, l2_reg, mcw, seed
+):
+    # unequal and 1-bin features, a sorted feature subset, rows an unsorted subset; exact
+    # draws (g in {-1, 0, 1}, h a power of ten) give tied and zero gains
+    rng = np.random.default_rng(seed)
+    binned = np.array([rng.integers(0, nb, n_rows) for nb in n_bins], dtype=np.int32)
+    h = rng.choice(h_scales, n_rows)
+    if exact:
+        g = rng.integers(-1, 2, n_rows).astype(np.float64)
+    else:
+        g, h = rng.normal(size=n_rows), h * rng.uniform(0.1, 1.0, n_rows)
+    rows = rng.choice(n_rows, size=rng.integers(1, n_rows + 1), replace=False)
+    feats = np.sort(rng.choice(len(n_bins), size=rng.integers(1, len(n_bins) + 1), replace=False))
+    args = (binned, g, h, rows, feats, n_bins, l2_reg, mcw)
+    assert find_best_split(*args) == reference_best_split(*args)
+
+
+# (bin rows, bins per feature, g, h, l2_reg, min_child_weight, the (feature, bin) found)
+EDGE_NODES = {
+    "zero-gain": ([[0, 1]], [2], [1.0, 1.0], [1.0, 1.0], 0.0, 0.0, None),
+    "right-h-rounds-to-zero": ([[0, 1]], [2], [1.0, 1.0], [1.0, 1e-16], 0.0, 0.0, None),
+    # the pairwise h total exceeds the bin's sequential sum, so h_right > 0 with no row
+    "right-side-empty": ([[0] * 8], [2], [1.0] + [0.0] * 7, [1.0] + [1e-16] * 7, 0.0, 0.0, None),
+    "one-bin-features": ([[0, 0, 0]] * 2, [1, 1], [1.0, -1.0, 2.0], [1.0] * 3, 1.0, 0.0, None),
+    "below-min-child-weight": ([[0, 1, 2]], [3], [1.0, -1.0, 2.0], [1.0] * 3, 0.0, 1.5, None),
+    "tie-first-feature-then-bin": (
+        [[0, 1, 2, 3]] * 2, [4, 4], [1.0, -1, -1, 1], [1.0] * 4, 0.0, 0.0, (0, 0)
+    ),
+    "unequal-bin-counts": (
+        [[0, 1, 1], [0, 0, 5]], [2, 6], [2.0, -1, -1], [1.0] * 3, 1.0, 0.0, (0, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_NODES)
+def test_split_search_on_edge_nodes(case):
+    bins, n_bins, g, h, l2_reg, mcw, expected = EDGE_NODES[case]
+    rows, feats = np.arange(len(g)), np.arange(len(bins))
+    binned = np.array(bins, dtype=np.int32)
+    args = (binned, np.array(g), np.array(h), rows, feats, n_bins, l2_reg, mcw)
+    got = find_best_split(*args)
+    assert got == reference_best_split(*args)
+    assert (got and got[:2]) == expected
 
 
 # trained at these max_depth values, or built by hand as chains or random shapes
