@@ -15,6 +15,8 @@ from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     CONFIG_KEYS,
     ConfigError,
@@ -184,13 +186,16 @@ def cmd_run(args):
 
     out_root = Path(cfg.out_dir)
     cores = {}  # seed -> the frozen core its first cell trained, shared by its later cells
+    stream = (data.X_train, data.y_train, data.X_stream, data.y_stream)
     for strategy in cfg.strategies:
         endpoint_maps = []
         for seed in cfg.seeds:
             settings = build_settings(cfg, strategy, seed, trigger_schedule=schedule)
-            result = run_stream(
-                data.X_train, data.y_train, data.X_stream, data.y_stream, settings, cores.get(seed)
-            )
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    result = run_stream(*stream, settings, cores.get(seed))
+            except FloatingPointError as exc:
+                raise ConfigError(f"settings drive the model out of float range: {exc}") from exc
             cores.setdefault(seed, result.core)
             try:
                 _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)

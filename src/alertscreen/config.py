@@ -6,8 +6,9 @@ parse yields the same configuration). Every streaming default is populated
 when a key is omitted.
 
 Types, defaults and value domains live on the dataclasses a run uses
-(``RunSettings``, ``TrainConfig``, ``Objective``); ``CONFIG_KEYS`` maps
-each public key to the field that holds it.
+(``RunSettings``, ``TrainConfig``, ``Objective``): each field declares its
+own domain. ``CONFIG_KEYS`` maps each public key to the field that holds
+it, in ``config.txt`` order.
 """
 
 import os
@@ -31,7 +32,7 @@ class RunConfig:
 
     dataset_csv: str | None = None
     dataset_manifest: str | None = None
-    train_positive_target: int = 100
+    train_positive_target: int = interval("[1, inf)", 100)
     strategies: list[str] = field(default_factory=lambda: ["adwin-hybrid"])
     seeds: list[int] = field(default_factory=lambda: [42])
     out_dir: str | None = None
@@ -39,7 +40,7 @@ class RunConfig:
     settings: RunSettings = field(default_factory=RunSettings)
 
     def __post_init__(self):
-        check_fields(self, train_positive_target=interval("[1, inf)"))
+        check_fields(self)
 
 
 # public key -> dotted field path from RunConfig, in config.txt order

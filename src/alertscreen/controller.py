@@ -56,55 +56,33 @@ QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if t
 class RunSettings:
     """Everything one streaming run needs besides the data itself."""
 
-    kind: str = "adwin-hybrid"
-    periodic_interval: int = 10_000
-    cooldown_events: int = 2_000
-    b_min: int = 32
-    buffer_capacity: int = 5_000
-    batch_size: int = 1_000
+    kind: str = one_of(STRATEGIES, "adwin-hybrid")
+    periodic_interval: int = interval("[1, inf)", 10_000)
+    cooldown_events: int = interval("[0, inf)", 2_000)
+    b_min: int = interval("[1, inf)", 32)
+    buffer_capacity: int = interval("[1, inf)", 5_000)
+    batch_size: int = interval("[1, inf)", 1_000)
     replay_enabled: bool = False
-    replay_capacity: int = 512
-    replay_ratio: float = 0.5
+    replay_capacity: int = interval("[0, inf)", 512)
+    replay_ratio: float = interval("[0, 1]", 0.5)
     trigger_schedule: list | None = None
-    periodic_max_updates: int | None = None
+    periodic_max_updates: int | None = interval("[0, inf)", None)
     objective: Objective = field(default_factory=Objective)
     train: gbt.TrainConfig = field(default_factory=gbt.TrainConfig)
-    threshold_policy: str = "max-f1"
-    tail_fraction: float = 0.20
-    grid_points: int = 101
-    min_recall: float = 0.95
-    adwin_delta: float = 0.002
-    acquisition_policy: str = "hybrid"
-    nominal_budget_fraction: float = 0.01
-    rolling_window: int = 10_000
-    burst_gap: int = 10_000
-    burst_delay_mode: str = "positives"
-    seed: int = 42
+    threshold_policy: str = one_of(THRESHOLD_POLICIES, "max-f1")
+    tail_fraction: float = interval("(0, 1]", 0.20)
+    grid_points: int = interval("[2, inf)", 101)
+    min_recall: float = interval("[0, 1]", 0.95)
+    adwin_delta: float = interval("(0, 1)", 0.002)
+    acquisition_policy: str = one_of(POLICIES, "hybrid")
+    nominal_budget_fraction: float = interval("[0, 1]", 0.01)
+    rolling_window: int = interval("[1, inf)", 10_000)
+    burst_gap: int = interval("[0, inf)", 10_000)
+    burst_delay_mode: str = one_of(DELAY_MODES, "positives")
+    seed: int = interval("[0, inf)", 42)
 
     def __post_init__(self):
-        check_fields(
-            self,
-            kind=one_of(STRATEGIES),
-            periodic_interval=interval("[1, inf)"),
-            cooldown_events=interval("[0, inf)"),
-            b_min=interval("[1, inf)"),
-            buffer_capacity=interval("[1, inf)"),
-            batch_size=interval("[1, inf)"),
-            replay_capacity=interval("[0, inf)"),
-            replay_ratio=interval("[0, 1]"),
-            periodic_max_updates=interval("[0, inf)"),
-            threshold_policy=one_of(THRESHOLD_POLICIES),
-            tail_fraction=interval("(0, 1]"),
-            grid_points=interval("[2, inf)"),
-            min_recall=interval("[0, 1]"),
-            adwin_delta=interval("(0, 1)"),
-            acquisition_policy=one_of(POLICIES),
-            nominal_budget_fraction=interval("[0, 1]"),
-            rolling_window=interval("[1, inf)"),
-            burst_gap=interval("[0, inf)"),
-            burst_delay_mode=one_of(DELAY_MODES),
-            seed=interval("[0, inf)"),
-        )
+        check_fields(self)
 
     @property
     def query_budget(self):

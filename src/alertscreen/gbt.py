@@ -22,31 +22,19 @@ from .schema import check_fields, interval
 
 @dataclass
 class TrainConfig:
-    initial_rounds: int = 100
-    rounds_per_update: int = 10
-    learning_rate: float = 0.10
-    max_depth: int = 6
-    max_trees: int = 500
-    bins: int = 256
-    min_child_weight: float = 1.0
-    subsample: float = 0.90
-    colsample: float = 0.90
-    l2_reg: float = 1.00
+    initial_rounds: int = interval("[1, inf)", 100)
+    rounds_per_update: int = interval("[1, inf)", 10)
+    learning_rate: float = interval("(0, inf)", 0.10)
+    max_depth: int = interval("[0, inf)", 6)
+    max_trees: int = interval("[1, inf)", 500)
+    bins: int = interval("[2, inf)", 256)
+    min_child_weight: float = interval("[0, inf)", 1.0)
+    subsample: float = interval("(0, 1]", 0.90)
+    colsample: float = interval("(0, 1]", 0.90)
+    l2_reg: float = interval("[0, inf)", 1.00)
 
     def __post_init__(self):
-        check_fields(
-            self,
-            initial_rounds=interval("[1, inf)"),
-            rounds_per_update=interval("[1, inf)"),
-            learning_rate=interval("(0, inf)"),
-            max_depth=interval("[0, inf)"),
-            max_trees=interval("[1, inf)"),
-            bins=interval("[2, inf)"),
-            min_child_weight=interval("[0, inf)"),
-            subsample=interval("(0, 1]"),
-            colsample=interval("(0, 1]"),
-            l2_reg=interval("[0, inf)"),
-        )
+        check_fields(self)
 
 
 # Elements in each temporary of one scoring tile: 1 MB of uint64 masks.

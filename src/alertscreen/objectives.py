@@ -27,19 +27,13 @@ class Objective:
     (see resolve_pos_weight).
     """
 
-    kind: str = "focal"
-    alpha: float = 0.25
-    gamma: float = 2.0
-    pos_weight: float | None = None
+    kind: str = one_of(OBJECTIVE_KINDS, "focal")
+    alpha: float = interval("(0, 1)", 0.25)
+    gamma: float = interval("[0, inf)", 2.0)
+    pos_weight: float | None = interval("(0, inf)", None)
 
     def __post_init__(self):
-        check_fields(
-            self,
-            kind=one_of(OBJECTIVE_KINDS),
-            alpha=interval("(0, 1)"),
-            gamma=interval("[0, inf)"),
-            pos_weight=interval("(0, inf)"),
-        )
+        check_fields(self)
 
 
 def resolve_pos_weight(objective, labels):

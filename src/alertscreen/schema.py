@@ -1,20 +1,21 @@
 """Field-level schema for the run's dataclasses: value domains and one text codec.
 
-Every configurable value lives on a dataclass field whose type annotation
-says how it is written and read: ``None`` as an empty string, booleans as
-``true``/``false``, floats by ``repr`` (exact round trip), lists as comma
-separated items. ``config.txt``, the dataset manifest, ``trace.csv``,
-``endpoints.txt`` and the multi-seed summary all go through
-``format_value`` and ``parse_value``, and every ``key=value`` file goes
-through ``read_pairs`` and ``write_pairs``.
+Every configurable value lives on a dataclass field that declares its own
+domain (``interval`` or ``one_of``), which ``check_fields`` checks. The
+field's type annotation says how it is written and read: ``None`` as an
+empty string, booleans as ``true``/``false``, floats by ``repr`` (exact
+round trip), lists as comma separated items. ``config.txt``, the dataset
+manifest, ``trace.csv``, ``endpoints.txt`` and the multi-seed summary all
+go through ``format_value`` and ``parse_value``, and every ``key=value``
+file goes through ``read_pairs`` and ``write_pairs``.
 """
 
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields
 
 
-def interval(text):
-    """Domain of the numbers in interval notation, e.g. ``"(0, 1]"`` or ``"[1, inf)"``."""
+def interval(text, default=MISSING):
+    """Field whose domain is an interval in its notation, e.g. ``"(0, 1]"`` or ``"[1, inf)"``."""
     low, high = (float(v) for v in text[1:-1].split(","))
 
     def inside(v):
@@ -22,19 +23,23 @@ def interval(text):
         below = v < high if text[-1] == ")" else v <= high
         return above and below
 
-    return inside, f"in {text}"
+    return field(default=default, metadata={"domain": (inside, f"in {text}")})
 
 
-def one_of(choices):
-    return (lambda v: v in choices), "one of " + ", ".join(choices)
+def one_of(choices, default=MISSING):
+    """Field whose domain is the names in ``choices``."""
+    domain = (lambda v: v in choices), "one of " + ", ".join(choices)
+    return field(default=default, metadata={"domain": domain})
 
 
-def check_fields(obj, **domains):
-    """Raise ValueError for the first named field outside its domain; None always passes."""
-    for name, (inside, text) in domains.items():
-        value = getattr(obj, name)
-        if value is not None and not inside(value):
-            raise ValueError(f"{name} must be {text}, got {value!r}")
+def check_fields(obj):
+    """Raise ValueError for the first field outside its declared domain; None always passes."""
+    for f in fields(obj):
+        if "domain" in f.metadata:
+            inside, text = f.metadata["domain"]
+            value = getattr(obj, f.name)
+            if value is not None and not inside(value):
+                raise ValueError(f"{f.name} must be {text}, got {value!r}")
 
 
 def format_value(value):

@@ -28,41 +28,29 @@ TIMESTAMP_STEP = 1_000  # between consecutive events
 class DriftPoint:
     """From this event on, classes draw from the new scalar means."""
 
-    index: int
-    benign_mean: float
-    malicious_mean: float | None = None  # None keeps the previous value
+    index: int = interval("[0, inf)")
+    benign_mean: float = interval("(-inf, inf)")
+    malicious_mean: float | None = interval("(-inf, inf)", None)  # None keeps the previous value
 
     def __post_init__(self):
-        finite = interval("(-inf, inf)")
-        check_fields(self, index=interval("[0, inf)"), benign_mean=finite, malicious_mean=finite)
+        check_fields(self)
 
 
 @dataclass
 class SyntheticStreamSpec:
-    length: int = 100_000
-    prevalence: float = 0.01
-    n_features: int = 4
+    length: int = interval("[1, inf)", 100_000)
+    prevalence: float = interval("(0, 0.05]", 0.01)  # the low-prevalence regime
+    n_features: int = interval("[0, inf)", 4)
     drift_points: list = field(default_factory=list)
-    topology: str = "recurrent-spikes"
-    seed: int = 0
-    class_separation: float = 2.0
-    n_categories: int = 0
-    burst_start: float = 0.10
-    burst_density: float = 0.50
+    topology: str = one_of(TOPOLOGIES, "recurrent-spikes")
+    seed: int = interval("[0, inf)", 0)
+    class_separation: float = interval("(-inf, inf)", 2.0)
+    n_categories: int = interval(f"[0, {len(CATEGORY_NAMES)}]", 0)
+    burst_start: float = interval("[0, 1]", 0.10)
+    burst_density: float = interval("(0, 1]", 0.50)
 
     def __post_init__(self):
-        check_fields(
-            self,
-            length=interval("[1, inf)"),
-            prevalence=interval("(0, 0.05]"),  # the low-prevalence regime
-            n_features=interval("[0, inf)"),
-            topology=one_of(TOPOLOGIES),
-            seed=interval("[0, inf)"),
-            class_separation=interval("(-inf, inf)"),
-            n_categories=interval(f"[0, {len(CATEGORY_NAMES)}]"),
-            burst_start=interval("[0, 1]"),
-            burst_density=interval("(0, 1]"),
-        )
+        check_fields(self)
 
 
 def _place_positives(spec, rng):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import math
 
 import pytest
@@ -180,64 +181,108 @@ def test_bad_config_file_is_a_config_error(dataset, tmp_path):
     assert main(args) == 1
 
 
-# one out-of-domain value for every key that has a domain
+# one out-of-domain value for every key that has a domain, and the text its rejection holds
 BAD_VALUES = {
-    "dataset.train_positive_target": "0",
-    "run.strategies": "oracle",
-    "run.seeds": "-1",
-    "objective.kind": "bogus",
-    "objective.alpha": "2",
-    "objective.gamma": "-1",
-    "objective.pos_weight": "0",
-    "train.initial_rounds": "0",
-    "train.rounds_per_update": "0",
-    "train.learning_rate": "0",
-    "train.max_depth": "-1",
-    "train.max_trees": "0",
-    "train.bins": "1",
-    "train.min_child_weight": "-1",
-    "train.subsample": "0",
-    "train.colsample": "1.5",
-    "train.l2_reg": "-1",
-    "threshold.policy": "bogus",
-    "threshold.tail_fraction": "0",
-    "threshold.grid_points": "1",
-    "threshold.min_recall": "1.5",
-    "adwin.delta": "2",
-    "acquisition.policy": "bogus",
-    "acquisition.nominal_budget_fraction": "nan",
-    "controller.periodic_interval": "0",
-    "controller.cooldown_events": "-1",
-    "controller.b_min": "0",
-    "controller.buffer_capacity": "0",
-    "controller.batch_size": "0",
-    "periodic.max_updates": "-1",
-    "replay.enabled": "maybe",
-    "replay.capacity": "-1",
-    "replay.ratio": "2",
-    "metrics.rolling_window": "0",
-    "metrics.burst_gap": "-1",
-    "metrics.burst_delay_mode": "bogus",
+    "dataset.train_positive_target": ("0", "train_positive_target must be in [1, inf), got 0"),
+    "run.strategies": (
+        "oracle",
+        "kind must be one of frozen, periodic, adwin-random, adwin-hybrid,"
+        " threshold-only, matched-replay, got 'oracle'",
+    ),
+    "run.seeds": ("-1", "seed must be in [0, inf), got -1"),
+    "objective.kind": (
+        "bogus", "kind must be one of plain-logistic, class-weighted, focal, got 'bogus'"
+    ),
+    "objective.alpha": ("2", "alpha must be in (0, 1), got 2.0"),
+    "objective.gamma": ("-1", "gamma must be in [0, inf), got -1.0"),
+    "objective.pos_weight": ("0", "pos_weight must be in (0, inf), got 0.0"),
+    "train.initial_rounds": ("0", "initial_rounds must be in [1, inf), got 0"),
+    "train.rounds_per_update": ("0", "rounds_per_update must be in [1, inf), got 0"),
+    "train.learning_rate": ("0", "learning_rate must be in (0, inf), got 0.0"),
+    "train.max_depth": ("-1", "max_depth must be in [0, inf), got -1"),
+    "train.max_trees": ("0", "max_trees must be in [1, inf), got 0"),
+    "train.bins": ("1", "bins must be in [2, inf), got 1"),
+    "train.min_child_weight": ("-1", "min_child_weight must be in [0, inf), got -1.0"),
+    "train.subsample": ("0", "subsample must be in (0, 1], got 0.0"),
+    "train.colsample": ("1.5", "colsample must be in (0, 1], got 1.5"),
+    "train.l2_reg": ("-1", "l2_reg must be in [0, inf), got -1.0"),
+    "threshold.policy": (
+        "bogus", "threshold_policy must be one of max-f1, recall-constrained, got 'bogus'"
+    ),
+    "threshold.tail_fraction": ("0", "tail_fraction must be in (0, 1], got 0.0"),
+    "threshold.grid_points": ("1", "grid_points must be in [2, inf), got 1"),
+    "threshold.min_recall": ("1.5", "min_recall must be in [0, 1], got 1.5"),
+    "adwin.delta": ("2", "adwin_delta must be in (0, 1), got 2.0"),
+    "acquisition.policy": (
+        "bogus",
+        "acquisition_policy must be one of random, uncertainty, high-score, hybrid,"
+        " got 'bogus'",
+    ),
+    "acquisition.nominal_budget_fraction": (
+        "nan", "nominal_budget_fraction must be in [0, 1], got nan"
+    ),
+    "controller.periodic_interval": ("0", "periodic_interval must be in [1, inf), got 0"),
+    "controller.cooldown_events": ("-1", "cooldown_events must be in [0, inf), got -1"),
+    "controller.b_min": ("0", "b_min must be in [1, inf), got 0"),
+    "controller.buffer_capacity": ("0", "buffer_capacity must be in [1, inf), got 0"),
+    "controller.batch_size": ("0", "batch_size must be in [1, inf), got 0"),
+    "periodic.max_updates": ("-1", "periodic_max_updates must be in [0, inf), got -1"),
+    "replay.enabled": ("maybe", "not a boolean: 'maybe'"),
+    "replay.capacity": ("-1", "replay_capacity must be in [0, inf), got -1"),
+    "replay.ratio": ("2", "replay_ratio must be in [0, 1], got 2.0"),
+    "metrics.rolling_window": ("0", "rolling_window must be in [1, inf), got 0"),
+    "metrics.burst_gap": ("-1", "burst_gap must be in [0, inf), got -1"),
+    "metrics.burst_delay_mode": (
+        "bogus", "burst_delay_mode must be one of positives, events, got 'bogus'"
+    ),
 }
 PATH_KEYS = {"dataset.csv", "dataset.manifest", "run.out", "strategy.trigger_schedule"}
 
 
 def test_every_config_key_has_a_domain_case_or_is_a_path():
     assert set(BAD_VALUES) | PATH_KEYS == set(CONFIG_KEYS)
+    # the run matrix keys are checked on each cell's RunSettings
+    checked_as = {"run.strategies": "settings.kind", "run.seeds": "settings.seed"}
+    for key in set(CONFIG_KEYS) - PATH_KEYS - {"replay.enabled"}:
+        *owner_path, name = checked_as.get(key, CONFIG_KEYS[key]).split(".")
+        owner = functools.reduce(getattr, owner_path, RunConfig())
+        (field,) = (f for f in dataclasses.fields(owner) if f.name == name)
+        assert "domain" in field.metadata, f"{key} declares no domain"
 
 
 @pytest.mark.parametrize("key", list(BAD_VALUES))
 def test_out_of_domain_value_is_a_config_error(dataset, tmp_path, capsys, key):
+    value, message = BAD_VALUES[key]
     flag = {"run.strategies": "--strategy", "run.seeds": "--seed"}.get(key, f"--{key}")
     out = tmp_path / "out"
     args = _run_args(
         dataset,
         out,
         strategy="adwin-hybrid,matched-replay",
-        extra=["--strategy.trigger_schedule", str(tmp_path / "triggers.txt"), flag, BAD_VALUES[key]],
+        extra=["--strategy.trigger_schedule", str(tmp_path / "triggers.txt"), flag, value],
     )
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# settings inside their domains that drive the model out of float range
+@pytest.mark.parametrize(
+    "strategy,extra",
+    [
+        ("adwin-hybrid", ["--train.learning_rate", "1e308"]),
+        ("frozen", ["--train.learning_rate", "1e308"]),
+        ("periodic", ["--train.learning_rate", "1e308"]),
+        ("frozen", ["--objective.kind", "class-weighted", "--objective.pos_weight", "1e300"]),
+    ],
+)
+def test_float_overflow_is_a_config_error(dataset, tmp_path, capsys, strategy, extra):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out, strategy=strategy, extra=extra)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: settings drive the model out of float range: ")
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -512,10 +557,23 @@ def test_synth_flags_write_the_bytes_of_the_equal_spec(tmp_path):
     + [
         ("--topology", "wave", "topology must be one of"),
         ("--drift", "5:x", "bad --drift value '5:x': could not convert string to float"),
+    ]
+    + [
+        ("--length", "0", "length must be in [1, inf), got 0"),
+        ("--prevalence", "0.06", "prevalence must be in (0, 0.05], got 0.06"),
+        ("--n-features", "-1", "n_features must be in [0, inf), got -1"),
+        ("--seed", "-1", "seed must be in [0, inf), got -1"),
+        ("--class-separation", "inf", "class_separation must be in (-inf, inf), got inf"),
+        ("--n-categories", "6", "n_categories must be in [0, 5], got 6"),
+        ("--burst-start", "1.5", "burst_start must be in [0, 1], got 1.5"),
+        ("--burst-density", "0", "burst_density must be in (0, 1], got 0.0"),
+        ("--drift", "-1:0", "bad --drift value '-1:0': index must be in [0, inf), got -1"),
+        ("--drift", "5:inf", "benign_mean must be in (-inf, inf), got inf"),
+        ("--drift", "5:0:nan", "malicious_mean must be in (-inf, inf), got nan"),
     ],
 )
 def test_a_bad_synth_value_names_its_flag(tmp_path, capsys, flag, value, message):
-    assert main(["synth", "--out", str(tmp_path / "s.csv"), flag, value]) == 1
+    assert main(["synth", "--out", str(tmp_path / "s.csv"), f"{flag}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "s.csv").exists()
