@@ -196,6 +196,8 @@ def cmd_run(args):
                     result = run_stream(*stream, settings, cores.get(seed))
             except FloatingPointError as exc:
                 raise ConfigError(f"settings drive the model out of float range: {exc}") from exc
+            except MemoryError as exc:
+                raise ConfigError(f"settings need more memory than there is: {exc}") from exc
             cores.setdefault(seed, result.core)
             try:
                 _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
@@ -238,6 +240,8 @@ def cmd_synth(args):
         write_dataset(spec, args.out, manifest_path)
     except OSError as exc:
         raise ConfigError(f"cannot write the synthetic dataset: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"settings need more memory than there is: {exc}") from exc
     print(f"wrote {args.out} and {manifest_path}")
     return 0
 

@@ -1,14 +1,14 @@
 """Histogram-based gradient-boosted trees with append-only warm starts.
 
-A deliberately small booster: axis-aligned regression trees grown
-depth-wise over quantile-binned features, additive log-odds leaves, and
+A deliberately small booster: axis-aligned regression trees grown in
+preorder over quantile-binned features, additive log-odds leaves, and
 warm-start continuation that appends new trees to a frozen prefix. Bin
 edges are computed once from the initial training matrix and reused for
 every later update so update cost stays bounded and deterministic. A node
 whose hessian total is below twice min_child_weight is a leaf without a
-split search: no cut could give both children min_child_weight.
-Every score comes from one QuickScorer pass over a table of the split
-tests and leaf values of the trees it scores (``_Table.add_trees``).
+split search: no cut could give both children min_child_weight. Growth
+routes each training row to its leaf; any other score is one QuickScorer
+pass over a table of the trees it scores (``_Table.add_trees``).
 """
 
 import math
@@ -42,44 +42,34 @@ TILE_ELEMENTS = 1 << 17
 
 
 class Tree:
-    """One regression tree as node arrays, plus its rows for the scoring table.
+    """One regression tree as node arrays in preorder, plus its rows for the scoring table.
 
-    feature[i] >= 0 marks a split node (go left when x[feature] < threshold),
-    feature[i] == -1 marks a leaf whose additive value is value[i]; node 0 is
-    the root. Leaves are numbered left to right and ``leaf_value`` is value
-    in leaf order. A split node's mask has every leaf bit set but those of
-    its left subtree (leaf j is bit j % 64 of word j // 64). The tree's
-    table rows are the mask words with a bit cleared, grouped by word, so
-    each word of the tree has a row; a word that holds only the last leaf
-    gets one all-ones row. ``rows`` holds (feature, threshold, mask word)
-    per row, ``words`` the word numbers and ``word_rows`` the row count of
-    each word.
+    feature[i] >= 0 marks a split node (go left when x[feature] < threshold)
+    whose left child is node i + 1 and right child node right[i];
+    feature[i] == -1 marks a leaf whose additive value is value[i]. Leaves
+    in node order run left to right, as ``leaf_value`` holds them. A split
+    node's mask has every leaf bit set but those of its left subtree (leaf j
+    is bit j % 64 of word j // 64). The tree's table rows are the mask words
+    with a bit cleared, grouped by word, so each word of the tree has a row;
+    a word that holds only the last leaf gets one all-ones row. ``rows``
+    holds (feature, threshold, mask word) per row, ``words`` the word
+    numbers and ``word_rows`` the row count of each word.
     """
 
     __slots__ = (
-        "feature", "threshold", "left", "right", "value", "leaf_value", "rows", "words", "word_rows"
+        "feature", "threshold", "right", "value", "leaf_value", "rows", "words", "word_rows"
     )
 
-    def __init__(self, feature, threshold, left, right, value):
+    def __init__(self, feature, threshold, right, value):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
-        first_leaf = np.empty(self.feature.size, dtype=np.int64)  # leftmost leaf under each node
-        n_leaves, stack = 0, [0]
-        while stack:  # depth first, left before right, so leaves come in order
-            node = stack.pop()
-            first_leaf[node] = n_leaves
-            if self.feature[node] < 0:
-                n_leaves += 1
-            else:
-                stack += (self.right[node], self.left[node])
-        leaves = np.flatnonzero(self.feature < 0)
-        self.leaf_value = np.empty(n_leaves, dtype=np.float64)
-        self.leaf_value[first_leaf[leaves]] = self.value[leaves]
+        self.leaf_value = self.value[self.feature < 0]
+        first_leaf = _starts(self.feature < 0)  # leftmost leaf under each node, in preorder
+        n_leaves = self.leaf_value.size
         splits = np.flatnonzero(self.feature >= 0)
-        lo = first_leaf[self.left[splits]]  # a split's left subtree holds leaves [lo, hi)
+        lo = first_leaf[splits]  # a split's left subtree holds leaves [lo, hi)
         hi = first_leaf[self.right[splits]]
         node = np.repeat(np.arange(splits.size), (hi - 1) // 64 - lo // 64 + 1)  # a row per word
         word = np.arange(node.size) - np.searchsorted(node, node) + lo[node] // 64
@@ -278,11 +268,13 @@ def compute_bin_edges(X, n_bins):
 
     Features with few distinct values get exact midpoints (histogram split
     then equals an exhaustive scan); wide features get equal-frequency
-    quantile edges.
+    quantile edges. Both come from the finite cells, so no edge is NaN:
+    -inf bins with the least finite value, and +inf and NaN with the
+    greatest, which is where ``x < threshold`` sends them.
     """
     edges = []
     for f in range(X.shape[1]):
-        col = X[:, f]
+        col = X[np.isfinite(X[:, f]), f]
         distinct = np.unique(col)
         if distinct.size <= 1:
             e = np.empty(0, dtype=np.float64)
@@ -348,13 +340,19 @@ def find_best_split(binned, g, h, rows, feat_ids, n_bins, l2_reg, min_child_weig
 
 
 def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
-    nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
-    frontier = [(0, 0, rows)]  # (node, depth, rows), breadth first, grown while iterated
+    """(tree, exits): the tree fitted to ``rows``, grown in preorder, and every row's leaf."""
+    exits = np.empty(binned.shape[1], dtype=np.intp)
+    nodes = []  # feature, threshold, right, value
+    stack = [(0, rows, np.arange(binned.shape[1]), None)]
     # A cut needs h_left >= mcw and fl(h_total - h_left) >= mcw, so h_total >= mcw + mcw /
     # (1 + 2**-53); below this bound find_best_split would return None.
     min_split_hess = 2.0 * config.min_child_weight * (1.0 - 1e-12)
-    for node_id, depth, node_rows in frontier:
-        node = nodes[node_id]
+    while stack:  # left child on top, so it is numbered right after its parent
+        depth, node_rows, routed, parent = stack.pop()
+        if parent is not None:
+            parent[2] = len(nodes)
+        node = [-1, 0.0, -1, 0.0]
+        nodes.append(node)
         h_sum = h[node_rows].sum()
         best = None
         if depth < config.max_depth and node_rows.size >= 2 and h_sum >= min_split_hess:
@@ -362,15 +360,15 @@ def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
                 binned, g, h, node_rows, feat_ids, n_bins, config.l2_reg, config.min_child_weight
             )
         if best is None:
-            node[4] = -g[node_rows].sum() / (h_sum + config.l2_reg)  # every node has rows
+            node[3] = -g[node_rows].sum() / (h_sum + config.l2_reg)  # every node has rows
+            exits[routed] = len(nodes) - 1
             continue
         f, b, _ = best
-        go_left = binned[f][node_rows] <= b
-        node[:4] = f, float(bin_edges[f][b]), len(nodes), len(nodes) + 1
-        frontier += [(len(nodes), depth + 1, node_rows[go_left])]
-        frontier += [(len(nodes) + 1, depth + 1, node_rows[~go_left])]
-        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
-    return Tree(*zip(*nodes))
+        node[:2] = f, float(bin_edges[f][b])
+        go_left, all_left = binned[f][node_rows] <= b, binned[f][routed] <= b
+        stack += [(depth + 1, node_rows[~go_left], routed[~all_left], node)]
+        stack += [(depth + 1, node_rows[go_left], routed[all_left], None)]
+    return Tree(*zip(*nodes)), exits
 
 
 def _boost(ensemble, X, y, objective, config, rounds, prefix_margin=None, prefix_trees=0):
@@ -394,9 +392,9 @@ def _boost(ensemble, X, y, objective, config, rounds, prefix_margin=None, prefix
             feats = np.sort(rng.choice(width, size=n_cols, replace=False))
         else:
             feats = all_feats
-        tree = _grow_tree(binned, g, h, rows, feats, ensemble.bin_edges, n_bins, config)
+        tree, exits = _grow_tree(binned, g, h, rows, feats, ensemble.bin_edges, n_bins, config)
         ensemble.trees.append(tree)
-        margin = ensemble.predict_margin(X, margin, ensemble.n_trees - 1)
+        margin = margin + (ensemble.learning_rate * tree.value)[exits]  # add_trees' one add
 
 
 def train_initial(X, y, objective, config, rng):

@@ -326,6 +326,20 @@ def reference_threshold(scores, labels, policy, grid_points, min_recall):
     raise AssertionError("the max-F1 theta always meets the recall floor")
 
 
+def reference_exits(tree, X):
+    """The leaf node each row of X reaches, walking the tree from its root.
+
+    A split sends x left, to the next node in preorder, when
+    x[feature] < threshold, and otherwise to its ``right`` node.
+    """
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while (split := tree.feature[node] >= 0).any():
+        go_left = X[rows, tree.feature[node]] < tree.threshold[node]
+        node = np.where(split, np.where(go_left, node + 1, tree.right[node]), node)
+    return node
+
+
 def reference_margin(ensemble, X, prefix_margin=None, prefix_trees=0):
     """Margin by walking each tree from its root to a leaf, one tree after another.
 
@@ -337,13 +351,8 @@ def reference_margin(ensemble, X, prefix_margin=None, prefix_trees=0):
         margin, prefix_trees = np.full(X.shape[0], ensemble.base_score), 0
     else:
         margin = np.array(prefix_margin, dtype=np.float64)
-    rows = np.arange(X.shape[0])
     for tree in ensemble.trees[prefix_trees:]:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while (split := tree.feature[node] >= 0).any():
-            go_left = X[rows, tree.feature[node]] < tree.threshold[node]
-            node = np.where(split, np.where(go_left, tree.left[node], tree.right[node]), node)
-        margin += ensemble.learning_rate * tree.value[node]
+        margin += ensemble.learning_rate * tree.value[reference_exits(tree, X)]
     return margin
 
 

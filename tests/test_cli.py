@@ -286,6 +286,17 @@ def test_float_overflow_is_a_config_error(dataset, tmp_path, capsys, strategy, e
     assert not out.exists()
 
 
+def test_settings_that_need_more_memory_than_exists_are_a_config_error(dataset, tmp_path, capsys):
+    # a grid of 10**15 thresholds exceeds the user address space, so numpy refuses it
+    # before allocating
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out, extra=["--threshold.grid_points", str(10**15)])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: settings need more memory than there is: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("strategy,seed", [("frozen", "42,42"), ("frozen,frozen", "42"), ("", "42")])
 def test_empty_or_repeated_matrix_is_a_config_error(dataset, tmp_path, strategy, seed):
     out = tmp_path / "out"
@@ -484,6 +495,8 @@ def test_unusable_run_paths_and_files_end_with_a_message(
         ["synth", "--out", "{tmp}/s.csv", "--length", "abc"],
         ["project", "--recall", "x", "--fpr", "0.001", "--prior", "0.001"],
         ["run", "--strategy", "frozen", "--seed", "1"],
+        # 10**15 rows exceed the user address space, so numpy refuses them before allocating
+        ["synth", "--out", "{tmp}/s.csv", "--length", str(10**15)],
     ],
 )
 def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):

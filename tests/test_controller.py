@@ -371,7 +371,7 @@ def test_adwin_checks_each_batch_in_one_call(drifting_small_splits, monkeypatch)
 GRID_STREAMS = {1: (600, 200, 3.0), 7: (5_000, 2_000, 1.5), 1_000: (5_000, 2_000, 1.5)}
 GRID_TRAIN = gbt.TrainConfig(initial_rounds=20, max_depth=3)
 GRID_CASES = [(kind, False) for kind in STRATEGIES] + [("periodic", True)]  # (kind, replay)
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+TREE_ARRAYS = ("feature", "threshold", "right", "value")
 
 
 @functools.cache

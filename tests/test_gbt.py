@@ -7,7 +7,13 @@ import pytest
 from conftest import gaussian_splits
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_best_split, loss, reference_best_split, reference_margin
+from oracles import (
+    brute_force_best_split,
+    loss,
+    reference_best_split,
+    reference_exits,
+    reference_margin,
+)
 
 from alertscreen.gbt import (
     BoostedEnsemble,
@@ -24,7 +30,7 @@ from alertscreen.gbt import (
 from alertscreen.objectives import HESS_FLOOR, Objective, grad_hess
 
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+TREE_ARRAYS = ("feature", "threshold", "right", "value")
 
 
 def _same_tree(a, b):
@@ -32,7 +38,7 @@ def _same_tree(a, b):
 
 
 def _leaf_tree(value):
-    return Tree([-1], [0.0], [-1], [-1], [value])
+    return Tree([-1], [0.0], [-1], [value])
 
 
 def _empty_ensemble(n_features=2, base_score=0.0, lr=0.1):
@@ -281,14 +287,8 @@ def test_zero_min_child_weight_grows_no_split_with_an_empty_side(l2_reg):
         initial_rounds=20, min_child_weight=0.0, l2_reg=l2_reg, subsample=1.0, colsample=1.0
     )
     ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(0))
-    rows = np.arange(X.shape[0])
     for tree in ens.trees:
-        node = np.zeros(rows.size, dtype=np.int64)
-        while (tree.feature[node] >= 0).any():
-            f = tree.feature[node]
-            left = X[rows, np.maximum(f, 0)] < tree.threshold[node]
-            node = np.where(f < 0, node, np.where(left, tree.left[node], tree.right[node]))
-        assert set(node.tolist()) == set(np.flatnonzero(tree.feature < 0).tolist())
+        assert set(reference_exits(tree, X).tolist()) == set(np.flatnonzero(tree.feature < 0))
         assert np.isfinite(tree.value).all()
 
 
@@ -321,10 +321,63 @@ def test_a_node_below_twice_min_child_weight_has_no_split(mcw, l2_reg, sides, of
     rows, feats, edges = rng.permutation(h.size), np.arange(2), [np.array([0.5]), np.arange(3.0)]
     cfg = TrainConfig(max_depth=1, min_child_weight=mcw, l2_reg=l2_reg)
     best = find_best_split(binned, g, h, rows, feats, [2, 4], l2_reg, mcw)
-    tree = _grow_tree(binned, g, h, rows, feats, edges, [2, 4], cfg)
+    tree, _ = _grow_tree(binned, g, h, rows, feats, edges, [2, 4], cfg)
     if h[rows].sum() < 2.0 * mcw * (1.0 - 1e-12):
         assert best is None
     assert (tree.feature[0] >= 0) == (best is not None)
+
+
+# cells at and around the midpoint edges of the small values, ties, both zeros and non-finite
+CELLS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, 1.0, -1.0, 2.0, 1.5, -0.5, 0.25])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n_rows=st.one_of(st.integers(1, 40), st.integers(500, 1_000)),
+    n_features=st.integers(1, 6),
+    max_depth=st.integers(0, 9),
+    bins=st.sampled_from([2, 4, 256]),
+    l2_reg=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_growth_routes_every_row_as_the_tree_scores_it(
+    n_rows, n_features, max_depth, bins, l2_reg, seed
+):
+    # each feature draws from a few of CELLS, or from them and normal values; growth fits
+    # a random row subset on a random feature subset but routes every row
+    rng = np.random.default_rng(seed)
+    X = np.empty((n_rows, n_features))
+    for f in range(n_features):
+        pool = rng.choice(CELLS, size=rng.integers(1, CELLS.size + 1), replace=False)
+        X[:, f] = rng.choice(pool, n_rows)
+        wide = rng.random(n_rows) < rng.choice([0.0, 0.5, 1.0])
+        X[wide, f] = rng.normal(size=wide.sum())
+    edges = compute_bin_edges(X, bins)
+    assert all(np.isfinite(e).all() for e in edges)
+    binned = bin_features(X, edges)
+    g, h = rng.normal(size=n_rows), rng.uniform(1e-3, 1.0, n_rows)
+    rows = np.sort(rng.choice(n_rows, size=rng.integers(1, n_rows + 1), replace=False))
+    feats = np.sort(rng.choice(n_features, size=rng.integers(1, n_features + 1), replace=False))
+    cfg = TrainConfig(max_depth=max_depth, bins=bins, min_child_weight=0.0, l2_reg=l2_reg)
+    tree, exits = _grow_tree(binned, g, h, rows, feats, edges, [e.size + 1 for e in edges], cfg)
+    assert np.array_equal(exits, reference_exits(tree, X))
+
+
+def test_training_builds_no_scoring_table(monkeypatch):
+    # each scoring table built, by its tree count: training's margin comes from growth
+    X, y = _separable_data(seed=8, n=300)
+    built, of = [], _Table.of
+    monkeypatch.setattr(_Table, "of", lambda trees: built.append(len(trees)) or of(trees))
+    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=7), np.random.default_rng(5))
+    assert built == []
+    prefix = core.predict_margin(X)
+    assert built == [7]
+    update = TrainConfig(rounds_per_update=4)
+    grown = warm_start_update(core, X, y, Objective(), update, prefix, 7).ensemble
+    assert built == [7]
+    warm_start_update(grown, X, y, Objective(), update, prefix, 7)
+    assert built == [7, 4]  # its prefix margin: the trees after the core
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -390,24 +443,23 @@ SEVERAL_WORDS = [8, "right-chain", "left-chain", "random"]  # trees of more than
 
 def _random_tree(rng, n_leaves, n_features, shape):
     """A tree of ``n_leaves`` leaves: a chain that goes right or left, or random splits."""
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, right, value = [], [], [], []
 
     def grow(k):
         node = len(feature)
         feature.append(-1)
         threshold.append(float(rng.choice([-1.0, 0.0, 0.5])))
-        left.append(-1)
         right.append(-1)
         value.append(float(rng.normal()))
         if k > 1:
             n_left = {"right-chain": 1, "left-chain": k - 1}.get(shape) or rng.integers(1, k)
             feature[node] = int(rng.integers(n_features))
-            left[node] = grow(n_left)
+            grow(n_left)
             right[node] = grow(k - n_left)
         return node
 
     grow(n_leaves)
-    return Tree(feature, threshold, left, right, value)
+    return Tree(feature, threshold, right, value)
 
 
 @functools.cache
