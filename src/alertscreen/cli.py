@@ -129,11 +129,13 @@ def _check_trigger_schedule(schedule, stream_events, batch_size):
 def _write_run_dir(run_dir, cfg, strategy, seed, result):
     """Write the four run files into a temporary sibling, then move it into place.
 
-    A failure leaves any earlier run in ``run_dir`` untouched, and a
+    An earlier run is moved aside first and deleted only once the new one
+    is in place, so a failure leaves it in ``run_dir`` untouched, and a
     rerun replaces the whole directory, so no stale file survives.
     """
     run_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp_dir = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}.", dir=run_dir.parent))
+    old_dir = tmp_dir.with_name(tmp_dir.name + ".old")  # the earlier run, until the new one is in
     try:
         snapshot = replace(cfg, strategies=[strategy], seeds=[seed], out_dir=str(run_dir))
         (tmp_dir / "config.txt").write_text(serialize_config(snapshot), encoding="utf-8")
@@ -143,10 +145,16 @@ def _write_run_dir(run_dir, cfg, strategy, seed, result):
             "".join(f"{t}\n" for t in result.ledger.trigger_events), encoding="utf-8"
         )
         if run_dir.exists():
-            shutil.rmtree(run_dir)
-        tmp_dir.rename(run_dir)
+            run_dir.rename(old_dir)
+        try:
+            tmp_dir.rename(run_dir)
+        except OSError:
+            if old_dir.exists():
+                old_dir.rename(run_dir)
+            raise
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
+        shutil.rmtree(old_dir, ignore_errors=True)
 
 
 def _write_summary(strat_dir, endpoint_maps):
@@ -291,10 +299,27 @@ def cmd_summarize(args):
     return 0
 
 
+def _join_dash_values(argv):
+    """argv with each ``--flag -1...`` pair written ``--flag=-1...``.
+
+    No flag starts with - and a digit, so such a token is the value of the
+    flag before it, however a given Python's argparse reads it alone.
+    """
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        dash_digit = token[:1] == "-" and token[1:2].isdigit()
+        if dash_digit and flag.startswith("--") and "=" not in flag:
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="[%(levelname)s] %(message)s")
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         handlers = dict(run=cmd_run, synth=cmd_synth, project=cmd_project, summarize=cmd_summarize)
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -6,9 +6,10 @@ warm-start continuation that appends new trees to a frozen prefix. Bin
 edges are computed once from the initial training matrix and reused for
 every later update so update cost stays bounded and deterministic. A node
 whose hessian total is below twice min_child_weight is a leaf without a
-split search: no cut could give both children min_child_weight. Growth
-routes each training row to its leaf; any other score is one QuickScorer
-pass over a table of the trees it scores (``_Table.add_trees``).
+split search: no cut could give both children min_child_weight. A tree is
+its preorder node arrays. Growth routes each training row to its leaf; any
+other score is one QuickScorer pass (``_Table.add_trees``) over a table
+that ``_Table.of`` lays out from the node arrays of the trees it scores.
 """
 
 import math
@@ -42,49 +43,21 @@ TILE_ELEMENTS = 1 << 17
 
 
 class Tree:
-    """One regression tree as node arrays in preorder, plus its rows for the scoring table.
+    """One regression tree as node arrays in preorder.
 
     feature[i] >= 0 marks a split node (go left when x[feature] < threshold)
     whose left child is node i + 1 and right child node right[i];
     feature[i] == -1 marks a leaf whose additive value is value[i]. Leaves
-    in node order run left to right, as ``leaf_value`` holds them. A split
-    node's mask has every leaf bit set but those of its left subtree (leaf j
-    is bit j % 64 of word j // 64). The tree's table rows are the mask words
-    with a bit cleared, grouped by word, so each word of the tree has a row;
-    a word that holds only the last leaf gets one all-ones row. ``rows``
-    holds (feature, threshold, mask word) per row, ``words`` the word
-    numbers and ``word_rows`` the row count of each word.
+    in node order run left to right.
     """
 
-    __slots__ = (
-        "feature", "threshold", "right", "value", "leaf_value", "rows", "words", "word_rows"
-    )
+    __slots__ = ("feature", "threshold", "right", "value")
 
     def __init__(self, feature, threshold, right, value):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
-        self.leaf_value = self.value[self.feature < 0]
-        first_leaf = _starts(self.feature < 0)  # leftmost leaf under each node, in preorder
-        n_leaves = self.leaf_value.size
-        splits = np.flatnonzero(self.feature >= 0)
-        lo = first_leaf[splits]  # a split's left subtree holds leaves [lo, hi)
-        hi = first_leaf[self.right[splits]]
-        node = np.repeat(np.arange(splits.size), (hi - 1) // 64 - lo // 64 + 1)  # a row per word
-        word = np.arange(node.size) - np.searchsorted(node, node) + lo[node] // 64
-        order = np.argsort(word, kind="stable")
-        node, word = node[order], word[order]
-        start = np.maximum(lo[node] - 64 * word, 0)  # the word's bits [start, stop) are cleared
-        stop = np.minimum(hi[node] - 64 * word, 64)
-        if n_leaves % 64 == 1 and splits.size:  # a word of only the last leaf, in no left subtree
-            node, word = np.append(node, 0), np.append(word, n_leaves // 64)
-            start, stop = np.append(start, 0), np.append(stop, 0)  # a row that clears nothing
-        mask = ~(_LOW_BITS[stop] ^ _LOW_BITS[start])
-        self.rows = (self.feature[splits[node]], self.threshold[splits[node]], mask)
-        word_rows = np.bincount(word)
-        self.words = np.flatnonzero(word_rows)
-        self.word_rows = word_rows[self.words]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +65,14 @@ class _Table:
     """The scoring rows of a sequence of trees, in blocks of equal-size groups.
 
     ``trees`` are the tree objects the rows came from, so a table is never
-    taken for a tree list it was not built from. A group is the rows of one
-    word of one tree, whose AND gives that word's exits. Groups with the
-    same number of rows form a block, blocks come in order of that number
-    and groups within a block in tree order, so each block is ANDed as one
-    (groups, rows per group, X rows) array.
+    taken for a tree list it was not built from. Leaf j of a tree is bit
+    j % 64 of its word j // 64. A split has a row for each word its left
+    subtree touches: its test and that word with the subtree's bits cleared.
+    A group is the rows of one word of one tree, whose AND gives that word's
+    exits; a word of only the last leaf, in no left subtree, has no group.
+    Groups with the same number of rows form a block, blocks come in order
+    of that number and groups within a block in tree order, so each block is
+    ANDed as one (groups, rows per group, X rows) array.
     """
 
     trees: list
@@ -113,28 +89,43 @@ class _Table:
 
     @classmethod
     def of(cls, trees):
-        """The table of a non-empty sequence of trees."""
-        feature, threshold, mask = (np.concatenate(c) for c in zip(*(t.rows for t in trees)))
-        size = np.concatenate([t.word_rows for t in trees])  # rows per group, tree order
-        n_words = [t.words.size for t in trees]
+        """The table of a non-empty sequence of trees, laid out from their node arrays."""
+        feature, threshold, right, value = (
+            np.concatenate([getattr(t, name) for t in trees]) for name in Tree.__slots__
+        )
+        node_start = _starts([t.feature.size for t in trees])
+        first_leaf = _starts(feature < 0)  # leftmost leaf under each node, in preorder
+        leaf_start = first_leaf[node_start]
+        n_words = (np.diff(leaf_start) + 62) // 64  # words of each tree's leaves but its last
+        tree_start = _starts(n_words)
+        splits = np.flatnonzero(feature >= 0)
+        tree = np.searchsorted(node_start, splits, side="right") - 1
+        lo = first_leaf[splits] - leaf_start[tree]  # a split's left subtree holds leaves [lo, hi)
+        hi = first_leaf[node_start[tree] + right[splits]] - leaf_start[tree]
+        node = np.repeat(np.arange(splits.size), (hi - 1) // 64 - lo // 64 + 1)  # a row per word
+        word = np.arange(node.size) - np.searchsorted(node, node) + lo[node] // 64
+        group = tree_start[tree[node]] + word  # groups in tree order, words ascending
+        size = np.bincount(group, minlength=tree_start[-1])  # rows per group
+        row = np.lexsort((group, size[group]))  # rows in block order
+        node, word = node[row], word[row]
+        start = np.maximum(lo[node] - 64 * word, 0)  # the word's bits [start, stop) are cleared
+        stop = np.minimum(hi[node] - 64 * word, 64)
         order = np.argsort(size, kind="stable")  # groups in block order
-        row = np.argsort(np.repeat(size, size), kind="stable")  # rows in block order
-        count = np.bincount(size)
-        ks = np.flatnonzero(count)  # the blocks' rows per group, ascending
-        ns = count[ks]
+        ks, ns = np.unique(size, return_counts=True)  # the blocks' rows per group, ascending
         first_groups, first_rows = _starts(ns), _starts(ks * ns)
+        group_tree = np.repeat(np.arange(len(trees)), n_words)
         return cls(
             list(trees),
-            feature[row],
-            threshold[row],
-            mask[row],
+            feature[splits[node]],
+            threshold[splits[node]],
+            ~(_LOW_BITS[stop] ^ _LOW_BITS[start]),
             tuple(zip(first_rows.tolist(), first_groups.tolist(), ns.tolist(), ks.tolist())),
-            np.repeat(np.arange(len(trees)), n_words)[order],
-            np.concatenate([t.words for t in trees])[order],
+            group_tree[order],
+            (np.arange(tree_start[-1]) - tree_start[group_tree])[order],
             np.argsort(order),
-            _starts(n_words),
-            np.concatenate([t.leaf_value for t in trees]),
-            _starts([t.leaf_value.size for t in trees]),
+            tree_start,
+            value[feature < 0],
+            leaf_start,
         )
 
     def tile_rows(self):
@@ -154,8 +145,9 @@ class _Table:
         """
         value = learning_rate * self.leaf_value  # the walk's learning_rate * value products
         split_trees = np.flatnonzero(np.diff(self.tree_start))
-        several_words = self.word.size > split_trees.size  # a tree of more than 64 leaves
+        several_words = np.diff(self.leaf_start).max() > 64  # a tree of more than 64 leaves
         leaf_base = self.leaf_start[self.group_tree, None] - 1 + 64 * self.word[:, None]
+        last = self.leaf_start[self.group_tree + 1, None] - 1  # each group's tree's last leaf
         tile = self.tile_rows()
         for start in range(0, margin.size, tile):
             rows = slice(start, start + tile)
@@ -171,8 +163,8 @@ class _Table:
                     block = kept[row : row + n * k].reshape(n, k, -1)
                     np.bitwise_and.reduce(block, axis=1, out=exits[group : group + n])
                 leaf = leaf_base + np.bitwise_count(exits ^ (exits - _ONE))  # 1 + lowest set bit
-                if several_words:  # such a tree exits in its first word with a bit set
-                    leaf = np.where(exits > 0, leaf, _NO_LEAF)[self.unblock]
+                if several_words:  # in its first word with a bit set, or else at its last leaf
+                    leaf = np.where(exits > 0, leaf, last)[self.unblock]
                     leaf = np.minimum.reduceat(leaf, self.tree_start[split_trees])
                     adds[1 + split_trees] = value[leaf]
                 else:
@@ -184,7 +176,6 @@ class _Table:
 _ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # bits [0, k) set
-_NO_LEAF = np.iinfo(np.int64).max  # the leaf of an empty word: above every leaf
 
 
 def _starts(sizes):
@@ -268,7 +259,8 @@ def compute_bin_edges(X, n_bins):
 
     Features with few distinct values get exact midpoints (histogram split
     then equals an exhaustive scan); wide features get equal-frequency
-    quantile edges. Both come from the finite cells, so no edge is NaN:
+    quantile edges. Both come from the finite cells, so every edge is
+    finite (a midpoint whose sum overflows is the sum of the halves):
     -inf bins with the least finite value, and +inf and NaN with the
     greatest, which is where ``x < threshold`` sends them.
     """
@@ -279,7 +271,11 @@ def compute_bin_edges(X, n_bins):
         if distinct.size <= 1:
             e = np.empty(0, dtype=np.float64)
         elif distinct.size <= n_bins:
-            e = (distinct[:-1] + distinct[1:]) / 2.0
+            a, b = distinct[:-1], distinct[1:]
+            with np.errstate(over="ignore"):
+                e = (a + b) / 2.0
+            wide = np.isinf(e)  # a + b overflowed near the float maximum
+            e[wide] = a[wide] / 2.0 + b[wide] / 2.0
         else:
             qs = np.quantile(col, np.arange(1, n_bins) / n_bins)
             e = np.unique(qs)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import functools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +328,29 @@ def test_failed_rerun_keeps_the_earlier_run(dataset, tmp_path, monkeypatch, fail
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
+def test_failed_move_into_place_keeps_the_earlier_run(dataset, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out)) == 0
+    run_dir = out / "frozen" / "42"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    rename, into_run_dir = Path.rename, []
+
+    def fail_first_move_in(self, target):  # the new run's move in fails, the rest succeed
+        if Path(target) == run_dir and not into_run_dir:
+            into_run_dir.append(self)
+            raise OSError("injected rename failure")
+        return rename(self, target)
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "rename", fail_first_move_in)
+        assert main(_run_args(dataset, out, extra=["--train.initial_rounds", "5"])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write under run.out: ") and err.count("\n") == 1
+    assert into_run_dir and {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert sorted(p.name for p in run_dir.parent.iterdir()) == ["42", "summary.txt"]
+
+
 def test_matrix_trains_one_core_per_seed(dataset, tmp_path, monkeypatch):
     calls = []
     train_initial = gbt.train_initial
@@ -586,10 +610,16 @@ def test_synth_flags_write_the_bytes_of_the_equal_spec(tmp_path):
     ],
 )
 def test_a_bad_synth_value_names_its_flag(tmp_path, capsys, flag, value, message):
-    assert main(["synth", "--out", str(tmp_path / "s.csv"), f"{flag}={value}"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
-    assert not (tmp_path / "s.csv").exists()
+    for given in ([f"{flag}={value}"], [flag, value]):  # the value joined or separate
+        assert main(["synth", "--out", str(tmp_path / "s.csv"), *given]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_value_that_starts_with_a_dash_and_a_digit_is_a_value(tmp_path):
+    separate = _synth_bytes(tmp_path, "separate", "--class-separation", "-1e3")
+    assert separate == _synth_bytes(tmp_path, "joined", "--class-separation=-1e3")
 
 
 def test_help_still_exits_zero(capsys):
