@@ -138,12 +138,14 @@ def _write_run_dir(run_dir, cfg, strategy, seed, result):
     old_dir = tmp_dir.with_name(tmp_dir.name + ".old")  # the earlier run, until the new one is in
     try:
         snapshot = replace(cfg, strategies=[strategy], seeds=[seed], out_dir=str(run_dir))
-        (tmp_dir / "config.txt").write_text(serialize_config(snapshot), encoding="utf-8")
-        (tmp_dir / "trace.csv").write_text(trace_to_csv(result.trace), encoding="utf-8")
-        (tmp_dir / "endpoints.txt").write_text(result.endpoints.to_text(), encoding="utf-8")
-        (tmp_dir / "triggers.txt").write_text(
-            "".join(f"{t}\n" for t in result.ledger.trigger_events), encoding="utf-8"
+        texts = (
+            serialize_config(snapshot),
+            trace_to_csv(result.trace),
+            result.endpoints.to_text(),
+            "".join(f"{t}\n" for t in result.ledger.trigger_events),
         )
+        for name, text in zip(RUN_FILES, texts, strict=True):
+            (tmp_dir / name).write_text(text, encoding="utf-8")
         if run_dir.exists():
             run_dir.rename(old_dir)
         try:
@@ -284,10 +286,11 @@ def cmd_summarize(args):
         endpoint_maps = []
         for seed_dir in sorted(strat_dir.iterdir(), key=lambda p: p.name):
             endpoint_file = seed_dir / "endpoints.txt"
-            if not endpoint_file.is_file():
+            seed = seed_dir.name  # a seed, not a temporary or set-aside cell (.40.x, .40.x.old)
+            if not (seed.isascii() and seed.isdecimal() and endpoint_file.is_file()):
                 continue
             try:
-                endpoints = Endpoints.from_text(endpoint_file.read_text(encoding="utf-8"))
+                endpoints = Endpoints.from_text(endpoint_file.read_text(encoding="utf-8-sig"))
             except (OSError, ValueError) as exc:
                 raise DataError(f"unreadable or malformed {endpoint_file}: {exc}") from exc
             endpoint_maps.append(asdict(endpoints))

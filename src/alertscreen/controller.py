@@ -17,7 +17,7 @@ live detector, still gated by cooldown and dedup eligibility).
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,11 +122,11 @@ class FrozenCore:
 
 
 def _core_inputs(settings, y_train, stream_events):
-    """A core's ``built_for``, copied so that a later edit of the settings cannot match it."""
+    """A core's ``built_for``; its objective and train config are frozen values."""
     return {
         "seed": settings.seed,
-        "objective": replace(resolve_pos_weight(settings.objective, y_train)),
-        "train": replace(settings.train),
+        "objective": resolve_pos_weight(settings.objective, y_train),
+        "train": settings.train,
         "tail_n": max(1, int(round(settings.tail_fraction * y_train.size))),
         "stream_events": stream_events,
     }
@@ -177,7 +177,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     objective = built_for["objective"]
     rng = np.random.default_rng()  # this run's own generator, in the post-training state
     rng.bit_generator.state = core.rng_state
-    ensemble = replace(core.ensemble, rng=rng)
+    ensemble = core.ensemble
     core_trees = ensemble.n_trees  # a batch scores only the trees after these
 
     tail_labels = y_train[-built_for["tail_n"] :]
@@ -229,7 +229,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
             triggered
             and cooldown == 0
             and budget > 0
-            and ensemble.n_trees < ensemble.max_trees
+            and ensemble.n_trees < settings.train.max_trees
         ):
             recent = np.arange(max(end - settings.buffer_capacity, 0), end)
             eligible = recent[~np.isin(recent, ledger.queried_ids)]  # oldest first
@@ -258,6 +258,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
                 y_stream[idx],  # oracle labels: stream ground truth
                 objective,
                 settings.train,
+                rng,
                 core.margin[idx],
                 core_trees,
             )

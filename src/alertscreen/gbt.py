@@ -7,9 +7,10 @@ edges are computed once from the initial training matrix and reused for
 every later update so update cost stays bounded and deterministic. A node
 whose hessian total is below twice min_child_weight is a leaf without a
 split search: no cut could give both children min_child_weight. A tree is
-its preorder node arrays. Growth routes each training row to its leaf; any
-other score is one QuickScorer pass (``_Table.add_trees``) over a table
-that ``_Table.of`` lays out from the node arrays of the trees it scores.
+its preorder node arrays, and a leaf's value already carries the learning
+rate. Growth routes each training row to its leaf; any other score is one
+QuickScorer pass (``_Table.add_trees``) over a table that ``_Table.of``
+lays out from the node arrays of the trees it scores.
 """
 
 import math
@@ -21,7 +22,7 @@ from .objectives import HESS_FLOOR, PROB_EPS, grad_hess, resolve_pos_weight
 from .schema import check_fields, interval
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     initial_rounds: int = interval("[1, inf)", 100)
     rounds_per_update: int = interval("[1, inf)", 10)
@@ -132,18 +133,17 @@ class _Table:
         """Rows of X per scoring tile: about TILE_ELEMENTS elements each."""
         return max(1, TILE_ELEMENTS // max(self.feature.size, len(self.trees) + 1))
 
-    def add_trees(self, X, margin, learning_rate):
-        """margin plus learning_rate times each row's exit leaf value in every tree.
+    def add_trees(self, X, margin):
+        """margin plus each row's exit leaf value in every tree.
 
         QuickScorer (Lucchese et al., SIGIR 2015): every split test of every
         tree is evaluated at once; a tree's exit leaf is the lowest bit left
         set after ANDing the masks of its failed tests, one reduce per block.
         The leaf values then join the margin in one sequential cumsum per
         row, in tree order, so each row gets the float adds of
-        ``margin += learning_rate * value`` tree by tree. A tree that is a
-        single leaf exits at its leaf 0 on every row.
+        ``margin += value`` tree by tree. A tree that is a single leaf exits
+        at its leaf 0 on every row.
         """
-        value = learning_rate * self.leaf_value  # the walk's learning_rate * value products
         split_trees = np.flatnonzero(np.diff(self.tree_start))
         several_words = np.diff(self.leaf_start).max() > 64  # a tree of more than 64 leaves
         leaf_base = self.leaf_start[self.group_tree, None] - 1 + 64 * self.word[:, None]
@@ -153,7 +153,7 @@ class _Table:
             rows = slice(start, start + tile)
             adds = np.empty((len(self.trees) + 1, margin[rows].size))  # trees down, X rows across
             adds[0] = margin[rows]
-            adds[1:] = value[self.leaf_start[:-1], None]
+            adds[1:] = self.leaf_value[self.leaf_start[:-1], None]
             if self.word.size:
                 left = X[rows].T[self.feature] < self.threshold[:, None]
                 kept = np.multiply(left, _ONES)  # a passed test keeps every leaf
@@ -166,9 +166,9 @@ class _Table:
                 if several_words:  # in its first word with a bit set, or else at its last leaf
                     leaf = np.where(exits > 0, leaf, last)[self.unblock]
                     leaf = np.minimum.reduceat(leaf, self.tree_start[split_trees])
-                    adds[1 + split_trees] = value[leaf]
+                    adds[1 + split_trees] = self.leaf_value[leaf]
                 else:
-                    adds[1 + self.group_tree] = value[leaf]
+                    adds[1 + self.group_tree] = self.leaf_value[leaf]
             margin[rows] = np.cumsum(adds, axis=0)[-1]
         return margin
 
@@ -187,22 +187,18 @@ def _starts(sizes):
 
 @dataclass
 class BoostedEnsemble:
-    """Ordered list of trees plus base log-odds; immutable by convention.
+    """Ordered list of trees, base log-odds and bin edges; immutable by convention.
 
     Warm starts return a new ensemble sharing the tree prefix, so callers
-    hot-swap the whole value. The generator drives subsample/colsample
-    draws and is carried across updates. A call scores the trees after its
-    prefix from a table of exactly those trees; ``table`` keeps the last
-    one, for the next call that scores the same tree objects.
+    hot-swap the whole value. ``bin_edges`` has one entry per feature. A
+    call scores the trees after its prefix from a table of exactly those
+    trees; ``table`` keeps the last one, for the next call that scores the
+    same tree objects.
     """
 
     trees: list
     base_score: float
-    learning_rate: float
-    max_trees: int
     bin_edges: list
-    n_features: int
-    rng: np.random.Generator = field(repr=False, default=None)
     table: _Table = field(repr=False, compare=False, default=None)
 
     @property
@@ -210,10 +206,10 @@ class BoostedEnsemble:
         return len(self.trees)
 
     def _check_width(self, X):
-        if X.ndim != 2 or X.shape[1] != self.n_features:
+        if X.ndim != 2 or X.shape[1] != len(self.bin_edges):
             raise ValueError(
                 f"feature width mismatch: got {X.shape[1] if X.ndim == 2 else X.shape}, "
-                f"expected {self.n_features}"
+                f"expected {len(self.bin_edges)}"
             )
 
     def predict_margin(self, X, prefix_margin=None, prefix_trees=0):
@@ -230,7 +226,7 @@ class BoostedEnsemble:
         trees = self.trees[prefix_trees:]
         if self.table is None or self.table.trees != trees:  # trees compare by identity
             self.table = _Table.of(trees)
-        return self.table.add_trees(X, margin, self.learning_rate)
+        return self.table.add_trees(X, margin)
 
     def predict_proba(self, X, prefix_margin=None, prefix_trees=0):
         """Positive-class probability, strictly inside (0, 1)."""
@@ -364,15 +360,16 @@ def _grow_tree(binned, g, h, rows, feat_ids, bin_edges, n_bins, config):
         go_left, all_left = binned[f][node_rows] <= b, binned[f][routed] <= b
         stack += [(depth + 1, node_rows[~go_left], routed[~all_left], node)]
         stack += [(depth + 1, node_rows[go_left], routed[all_left], None)]
-    return Tree(*zip(*nodes)), exits
+    feature, threshold, right, value = zip(*nodes)
+    return Tree(feature, threshold, right, config.learning_rate * np.array(value)), exits
 
 
-def _boost(ensemble, X, y, objective, config, rounds, prefix_margin=None, prefix_trees=0):
-    binned = bin_features(X, ensemble.bin_edges)
-    n_bins = [e.size + 1 for e in ensemble.bin_edges]
+def _boost(X, y, margin, bin_edges, objective, config, rounds, rng):
+    """``rounds`` new trees, each fitted to the gradients at ``margin`` plus the trees before it."""
+    binned = bin_features(X, bin_edges)
+    n_bins = [e.size + 1 for e in bin_edges]
     n, width = X.shape
-    margin = ensemble.predict_margin(X, prefix_margin, prefix_trees)
-    rng = ensemble.rng
+    trees = []
     all_rows = np.arange(n)
     all_feats = np.arange(width)
     n_cols = max(1, int(round(config.colsample * width)))
@@ -388,17 +385,18 @@ def _boost(ensemble, X, y, objective, config, rounds, prefix_margin=None, prefix
             feats = np.sort(rng.choice(width, size=n_cols, replace=False))
         else:
             feats = all_feats
-        tree, exits = _grow_tree(binned, g, h, rows, feats, ensemble.bin_edges, n_bins, config)
-        ensemble.trees.append(tree)
-        margin = margin + (ensemble.learning_rate * tree.value)[exits]  # add_trees' one add
+        tree, exits = _grow_tree(binned, g, h, rows, feats, bin_edges, n_bins, config)
+        trees.append(tree)
+        margin = margin + tree.value[exits]  # add_trees' one add
+    return trees
 
 
 def train_initial(X, y, objective, config, rng):
     """Train the frozen core: exactly config.initial_rounds trees.
 
     base_score is the log-odds of training prevalence. Row and column
-    sampling draw from ``rng``, which the ensemble keeps for its warm
-    starts, so a run's draws form one stream.
+    sampling draw from ``rng``; a run passes the same generator to its warm
+    starts, so its draws form one stream.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -406,39 +404,34 @@ def train_initial(X, y, objective, config, rng):
     if n_pos == 0 or n_pos == y.size:
         raise ValueError("training data must contain both classes")
     prevalence = n_pos / y.size
-    ensemble = BoostedEnsemble(
-        trees=[],
-        base_score=math.log(prevalence / (1.0 - prevalence)),
-        learning_rate=config.learning_rate,
-        max_trees=config.max_trees,
-        bin_edges=compute_bin_edges(X, config.bins),
-        n_features=X.shape[1],
-        rng=rng,
-    )
+    base_score = math.log(prevalence / (1.0 - prevalence))
+    bin_edges = compute_bin_edges(X, config.bins)
+    margin = np.full(X.shape[0], base_score, dtype=np.float64)
     objective = resolve_pos_weight(objective, y)
-    _boost(ensemble, X, y, objective, config, config.initial_rounds)
-    return ensemble
+    trees = _boost(X, y, margin, bin_edges, objective, config, config.initial_rounds, rng)
+    return BoostedEnsemble(trees, base_score, bin_edges)
 
 
-def warm_start_update(ensemble, X, y, objective, config, prefix_margin=None, prefix_trees=0):
-    """Append up to rounds_per_update trees fitted to the labeled batch.
+def warm_start_update(ensemble, X, y, objective, config, rng, prefix_margin=None, prefix_trees=0):
+    """Append up to rounds_per_update trees fitted to the labeled batch, up to max_trees.
 
     Trees are fitted to gradients under the current ensemble's predictions;
     the existing prefix is never modified. Given ``prefix_margin``, the
     margin of the first ``prefix_trees`` trees on X, only the later trees
     are scored for those predictions. Returns a new ensemble value so the
     caller can hot-swap it; at the tree cap this is a no-op with a
-    cap-reached status.
+    cap-reached status. Sampling draws from ``rng``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("warm-start batch is empty")
     ensemble._check_width(X)
-    room = ensemble.max_trees - ensemble.n_trees
+    room = config.max_trees - ensemble.n_trees
     if room <= 0:
         return WarmStartResult(ensemble, 0, True)
     n_new = min(config.rounds_per_update, room)
-    updated = replace(ensemble, trees=list(ensemble.trees))
-    _boost(updated, X, y, objective, config, n_new, prefix_margin, prefix_trees)
-    return WarmStartResult(updated, n_new, updated.n_trees >= updated.max_trees)
+    margin = ensemble.predict_margin(X, prefix_margin, prefix_trees)
+    trees = _boost(X, y, margin, ensemble.bin_edges, objective, config, n_new, rng)
+    updated = replace(ensemble, trees=ensemble.trees + trees)
+    return WarmStartResult(updated, n_new, updated.n_trees >= config.max_trees)

@@ -13,7 +13,7 @@ statistics come from the training split only.
 import csv
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import count, islice
 
 import numpy as np
@@ -106,7 +106,7 @@ def compute_time_since(timestamps):
 
 
 def parse_timestamp(value):
-    """Integer epoch milliseconds, or ISO-8601 converted to epoch ms."""
+    """Integer epoch milliseconds, or ISO-8601 converted to epoch ms, rounded down."""
     value = value.strip()
     try:
         return int(value)
@@ -119,7 +119,7 @@ def parse_timestamp(value):
         raise DataError(f"unparseable timestamp: {value!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp() * 1000)
+    return (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1)
 
 
 def load_manifest(path):

@@ -94,10 +94,11 @@ def decode_fields(cls, raw):
 def read_pairs(text):
     """``(line number, key, value)`` of every ``key=value`` line of ``text``.
 
-    Lines are stripped; blank lines and ``#`` comments are skipped, and any
-    other line without ``=`` is a ValueError.
+    Lines are stripped; blank lines and ``#`` comments are skipped. Any
+    other line without ``=``, or whose key an earlier line has, is a ValueError.
     """
     pairs = []
+    seen = {}  # key -> its line number
     for line_num, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -105,7 +106,11 @@ def read_pairs(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"line {line_num}: expected key=value, got {line!r}")
-        pairs.append((line_num, key.strip(), value))
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"line {line_num}: key {key!r} repeats line {seen[key]}")
+        seen[key] = line_num
+        pairs.append((line_num, key, value))
     return pairs
 
 

@@ -344,7 +344,7 @@ def reference_margin(ensemble, X, prefix_margin=None, prefix_trees=0):
     """Margin by walking each tree from its root to a leaf, one tree after another.
 
     ``BoostedEnsemble.predict_margin`` must equal this bit for bit: each row
-    gets ``margin += learning_rate * value`` of its exit leaf, tree by tree.
+    gets ``margin += value`` of its exit leaf, tree by tree.
     """
     X = np.asarray(X, dtype=np.float64)
     if prefix_margin is None:
@@ -352,7 +352,7 @@ def reference_margin(ensemble, X, prefix_margin=None, prefix_trees=0):
     else:
         margin = np.array(prefix_margin, dtype=np.float64)
     for tree in ensemble.trees[prefix_trees:]:
-        margin += ensemble.learning_rate * tree.value[reference_exits(tree, X)]
+        margin += tree.value[reference_exits(tree, X)]
     return margin
 
 

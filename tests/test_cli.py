@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ def test_config_round_trip_identity():
     cfg.trigger_schedule_path = "triggers.txt"
     settings = cfg.settings
     settings.objective = Objective(kind="class-weighted", pos_weight=3.5)
-    settings.train.subsample = 0.75
+    settings.train = dataclasses.replace(settings.train, subsample=0.75)
     settings.tail_fraction = 0.3
     settings.adwin_delta = 0.01
     settings.acquisition_policy = "uncertainty"
@@ -400,6 +401,33 @@ def test_summarize_recomputes_from_run_directories(dataset, tmp_path, capsys):
     assert "fp_per_million_benign.median=" in text
 
 
+def test_summarize_reads_only_seed_directories(dataset, tmp_path):
+    # an interrupted run leaves a cell's temporary and set-aside directories beside the seeds
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out, seed="40,41,42")) == 0
+    strat_dir = out / "frozen"
+    summary = (strat_dir / "summary.txt").read_text()
+    for name in (".40.abc123", ".40.abc123.old"):
+        shutil.copytree(strat_dir / "40", strat_dir / name)
+    endpoints = strat_dir / "41" / "endpoints.txt"
+    endpoints.write_bytes(b"\xef\xbb\xbf" + endpoints.read_bytes())
+    assert main(["summarize", "--out", str(out)]) == 0
+    assert summary.startswith("seeds=3\n")
+    assert (strat_dir / "summary.txt").read_text() == summary
+
+
+def test_summarize_refuses_a_repeated_endpoints_key(dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out)) == 0
+    endpoints = out / "frozen" / "42" / "endpoints.txt"
+    endpoints.write_text(endpoints.read_text() + "queries=7\n")
+    capsys.readouterr()
+    assert main(["summarize", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "line 19: key 'queries' repeats line 12" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["run", "summarize"])
 def test_unwritable_summary_is_a_config_error(dataset, tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -712,6 +740,16 @@ BAD_INPUTS = {
         lambda c, m: (c.encode(), (m + "derive_time_since\n").encode(), None),
         2,
         "expected key=value",
+    ),
+    "manifest-repeated-key": (
+        lambda c, m: (c.encode(), (m + "numeric=feat_0\n").encode(), None),
+        2,
+        "line 6: key 'numeric' repeats line 4",
+    ),
+    "config-repeated-key": (
+        lambda c, m: (c.encode(), m.encode(), b"adwin.delta=0.5\n\nadwin.delta=0.002\n"),
+        1,
+        "line 3: key 'adwin.delta' repeats line 1",
     ),
     "cell-beyond-csv-field-limit": (
         lambda c, m: (c.replace("\n", "\n" + "9" * 131_073, 1).encode(), m.encode(), None),

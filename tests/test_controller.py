@@ -439,6 +439,7 @@ def test_run_on_another_strategys_core_equals_a_cold_run(batch_size, kind, repla
     assert bool(cold.ledger.trigger_events) == (STRATEGIES[kind][0] is not None)
     assert cold.ledger.replayed > 0 or not replay
     donor = _cold_run(batch_size, "adwin-hybrid" if kind == "periodic" else "periodic").core
+    trees = list(donor.ensemble.trees)  # the tree objects the core was built with
     shared = run_stream(*_grid_splits(batch_size), _grid_settings(batch_size, kind, replay), donor)
     _assert_same_run(shared, cold)
     assert shared.core is donor
@@ -447,7 +448,11 @@ def test_run_on_another_strategys_core_equals_a_cold_run(batch_size, kind, repla
     built = _unused_core(batch_size)
     assert donor.margin.tobytes() == built.margin.tobytes()
     assert donor.ensemble.n_trees == built.ensemble.n_trees == GRID_TRAIN.initial_rounds
-    assert donor.rng_state == built.rng_state == donor.ensemble.rng.bit_generator.state
+    assert donor.rng_state == built.rng_state
+    assert donor.ensemble.trees == trees  # trees compare by identity
+    for tree_a, tree_b in zip(trees, built.ensemble.trees):
+        for name in TREE_ARRAYS:
+            assert getattr(tree_a, name).tobytes() == getattr(tree_b, name).tobytes()
 
 
 # what a core depends on, by the name the refusal gives

@@ -41,16 +41,8 @@ def _leaf_tree(value):
     return Tree([-1], [0.0], [-1], [value])
 
 
-def _empty_ensemble(n_features=2, base_score=0.0, lr=0.1):
-    return BoostedEnsemble(
-        trees=[],
-        base_score=base_score,
-        learning_rate=lr,
-        max_trees=500,
-        bin_edges=[np.empty(0)] * n_features,
-        n_features=n_features,
-        rng=np.random.default_rng(0),
-    )
+def _empty_ensemble(n_features=2, base_score=0.0):
+    return BoostedEnsemble(trees=[], base_score=base_score, bin_edges=[np.empty(0)] * n_features)
 
 
 def _separable_data(seed=0, n=200):
@@ -70,7 +62,7 @@ def test_empty_ensemble_predicts_half():
 
 def test_single_leaf_tree_prediction():
     ens = _empty_ensemble()
-    ens.trees.append(_leaf_tree(3.0))
+    ens.trees.append(_leaf_tree(0.3))
     p = ens.predict_proba(np.zeros((1, 2)))
     assert p[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.3)), rel=1e-12)
 
@@ -178,9 +170,10 @@ def test_single_class_training_rejected():
 
 def test_warm_start_preserves_tree_prefix():
     X, y = _separable_data(seed=8)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), rng)
     before = [Tree(*(getattr(t, name).copy() for name in TREE_ARRAYS)) for t in ens.trees]
-    result = warm_start_update(ens, X, y, Objective(), TrainConfig(rounds_per_update=10))
+    result = warm_start_update(ens, X, y, Objective(), TrainConfig(rounds_per_update=10), rng)
     after = result.ensemble
     assert after.n_trees == 25 and result.appended == 10 and not result.cap_reached
     for i, tree in enumerate(before):
@@ -193,7 +186,7 @@ def test_prefix_margin_adds_only_the_later_trees_bit_for_bit():
     X, y = _separable_data(seed=8, n=300)
     rng = np.random.default_rng(5)
     core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), rng)
-    grown = warm_start_update(core, X[:100], y[:100], Objective(), TrainConfig()).ensemble
+    grown = warm_start_update(core, X[:100], y[:100], Objective(), TrainConfig(), rng).ensemble
     prefix = core.predict_margin(X)
     for rows in (slice(None), slice(7, 8), slice(50, 250)):
         with_prefix = grown.predict_proba(X[rows], prefix[rows], core.n_trees)
@@ -205,12 +198,13 @@ def test_prefix_margin_adds_only_the_later_trees_bit_for_bit():
 
 def test_warm_start_from_a_prefix_margin_grows_the_same_trees():
     X, y = _separable_data(seed=8, n=300)
-    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), np.random.default_rng(5))
-    grown = warm_start_update(core, X[:100], y[:100], Objective(), TrainConfig()).ensemble
+    rng = np.random.default_rng(5)
+    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), rng)
+    grown = warm_start_update(core, X[:100], y[:100], Objective(), TrainConfig(), rng).ensemble
 
     def update(*prefix):  # each from the same generator state
-        ens = replace(grown, rng=copy.deepcopy(grown.rng))
-        return warm_start_update(ens, X[100:200], y[100:200], Objective(), TrainConfig(), *prefix)
+        batch = X[100:200], y[100:200], Objective(), TrainConfig(), copy.deepcopy(rng)
+        return warm_start_update(grown, *batch, *prefix)
 
     full = update().ensemble
     from_prefix = update(core.predict_margin(X[100:200]), core.n_trees).ensemble
@@ -221,11 +215,12 @@ def test_warm_start_from_a_prefix_margin_grows_the_same_trees():
 def test_warm_start_loss_non_increasing_on_same_batch():
     X, y = _separable_data(seed=10)
     obj = Objective()
-    ens = train_initial(X, y, obj, TrainConfig(initial_rounds=20), np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    ens = train_initial(X, y, obj, TrainConfig(initial_rounds=20), rng)
     cfg = TrainConfig(rounds_per_update=1)
     prev = loss(ens.predict_proba(X), y, obj).mean()
     for _ in range(10):
-        ens = warm_start_update(ens, X, y, obj, cfg).ensemble
+        ens = warm_start_update(ens, X, y, obj, cfg, rng).ensemble
         cur = loss(ens.predict_proba(X), y, obj).mean()
         assert cur <= prev + 1e-12
         prev = cur
@@ -234,35 +229,56 @@ def test_warm_start_loss_non_increasing_on_same_batch():
 def test_warm_start_cap_arithmetic():
     X, y = _separable_data(seed=12)
     cfg = TrainConfig(initial_rounds=5, rounds_per_update=10, max_trees=15)
-    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(7))
-    grown = warm_start_update(ens, X, y, Objective(), cfg)
+    rng = np.random.default_rng(7)
+    ens = train_initial(X, y, Objective(), cfg, rng)
+    grown = warm_start_update(ens, X, y, Objective(), cfg, rng)
     assert grown.ensemble.n_trees == 15 and grown.appended == 10 and grown.cap_reached
 
     cfg_cap = TrainConfig(initial_rounds=12, rounds_per_update=10, max_trees=15)
-    ens = train_initial(X, y, Objective(), cfg_cap, np.random.default_rng(7))
-    partial = warm_start_update(ens, X, y, Objective(), cfg_cap)
+    rng = np.random.default_rng(7)
+    ens = train_initial(X, y, Objective(), cfg_cap, rng)
+    partial = warm_start_update(ens, X, y, Objective(), cfg_cap, rng)
     assert partial.ensemble.n_trees == 15 and partial.appended == 3 and partial.cap_reached
-    noop = warm_start_update(partial.ensemble, X, y, Objective(), cfg_cap)
+    noop = warm_start_update(partial.ensemble, X, y, Objective(), cfg_cap, rng)
     assert noop.appended == 0 and noop.cap_reached
     assert noop.ensemble.n_trees == 15
 
 
+def test_warm_start_takes_its_learning_rate_and_cap_from_its_config():
+    X, y = _separable_data(seed=8, n=300)
+    rng = np.random.default_rng(5)
+    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), rng)
+
+    def update(**changes):  # each from the same generator state
+        cfg = TrainConfig(rounds_per_update=3, **changes)
+        return warm_start_update(core, X[:100], y[:100], Objective(), cfg, copy.deepcopy(rng))
+
+    unshrunk, shrunk = update(learning_rate=1.0).ensemble, update(learning_rate=0.05).ensemble
+    a, b = shrunk.trees[core.n_trees], unshrunk.trees[core.n_trees]  # same gradients, same splits
+    assert all(np.array_equal(getattr(a, name), getattr(b, name)) for name in TREE_ARRAYS[:3])
+    assert np.array_equal(a.value, 0.05 * b.value) and np.any(a.value != b.value)
+
+    noop = update(max_trees=core.n_trees)
+    assert noop.ensemble is core and noop.appended == 0 and noop.cap_reached
+
+
 def test_warm_start_on_all_negative_batch_pushes_scores_down():
     X, y = _separable_data(seed=14)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=20), np.random.default_rng(8))
-    rng = np.random.default_rng(2)
-    X_neg = rng.uniform(-1.0, 0.0, size=(64, 2))
+    rng = np.random.default_rng(8)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=20), rng)
+    X_neg = np.random.default_rng(2).uniform(-1.0, 0.0, size=(64, 2))
     y_neg = np.zeros(64, dtype=np.int64)
     before = ens.predict_proba(X_neg).mean()
-    updated = warm_start_update(ens, X_neg, y_neg, Objective(), TrainConfig()).ensemble
+    updated = warm_start_update(ens, X_neg, y_neg, Objective(), TrainConfig(), rng).ensemble
     assert updated.predict_proba(X_neg).mean() < before
 
 
 def test_warm_start_rejects_empty_batch():
     X, y = _separable_data(seed=15)
-    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=5), np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=5), rng)
     with pytest.raises(ValueError):
-        warm_start_update(ens, np.zeros((0, 2)), np.zeros(0, dtype=int), Objective(), TrainConfig())
+        warm_start_update(ens, np.zeros((0, 2)), np.zeros(0, int), Objective(), TrainConfig(), rng)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -378,14 +394,15 @@ def test_training_builds_no_scoring_table(monkeypatch):
     X, y = _separable_data(seed=8, n=300)
     built, of = [], _Table.of
     monkeypatch.setattr(_Table, "of", lambda trees: built.append(len(trees)) or of(trees))
-    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=7), np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    core = train_initial(X, y, Objective(), TrainConfig(initial_rounds=7), rng)
     assert built == []
     prefix = core.predict_margin(X)
     assert built == [7]
     update = TrainConfig(rounds_per_update=4)
-    grown = warm_start_update(core, X, y, Objective(), update, prefix, 7).ensemble
+    grown = warm_start_update(core, X, y, Objective(), update, rng, prefix, 7).ensemble
     assert built == [7]
-    warm_start_update(grown, X, y, Objective(), update, prefix, 7)
+    warm_start_update(grown, X, y, Objective(), update, rng, prefix, 7)
     assert built == [7, 4]  # its prefix margin: the trees after the core
 
 
@@ -490,16 +507,17 @@ def _grid_ensemble(case):
     X[:, 3] = rng.choice([-1.0, 1.0], 2_000)  # a threshold of exactly 0.0
     y = (rng.random(2_000) < 0.3).astype(np.int64)
     cfg = TrainConfig(initial_rounds=4, rounds_per_update=3, max_depth=case, min_child_weight=0.0)
-    ens = train_initial(X, y, Objective(), cfg, np.random.default_rng(case))
-    ens = warm_start_update(ens, X[:200], y[:200], Objective(), replace(cfg, max_depth=0)).ensemble
-    return warm_start_update(ens, X[200:400], y[200:400], Objective(), cfg).ensemble
+    rng = np.random.default_rng(case)
+    ens = train_initial(X, y, Objective(), cfg, rng)
+    ens = warm_start_update(ens, X[:200], y[:200], Objective(), replace(cfg, max_depth=0), rng)
+    return warm_start_update(ens.ensemble, X[200:400], y[200:400], Objective(), cfg, rng).ensemble
 
 
 def _hard_rows(ens, n, seed):
     """Rows whose cells are often NaN, +-inf, -0.0, 0.0 or exactly a split threshold;
     every seventh row is +inf throughout, so it exits at each tree's last leaf."""
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, ens.n_features))
+    X = rng.normal(size=(n, len(ens.bin_edges)))
     special = rng.random(X.shape) < 0.15
     X[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], special.sum())
     splits = [(f, t) for tree in ens.trees for f, t in zip(tree.feature, tree.threshold) if f >= 0]

@@ -289,6 +289,31 @@ def test_loader_keeps_file_order_for_tied_timestamps(tmp_path):
     assert list(events.numbers["time_since_last_event"]) == [0.0, 0.0, 0.0]
 
 
+def test_loader_orders_fractional_iso_timestamps_to_the_millisecond(tmp_path):
+    rows = ["2004-03-15T07:55:47.472Z,0,80,web", "2004-03-15T07:55:47.471Z,1,443,web"]
+    csv_path, manifest_path = _write_dataset(tmp_path, rows)
+    events = load_events(csv_path, load_manifest(manifest_path))
+    assert list(events.timestamps) == [1_079_337_347_471, 1_079_337_347_472]
+    assert list(events.numbers["port"]) == [443.0, 80.0]
+    assert list(events.numbers["time_since_last_event"]) == [0.0, 1.0]
+
+
+# stamp -> its epoch milliseconds, rounded down; a float product reads most of these 1 ms off
+FRACTIONAL_STAMPS = {
+    "2004-03-15T07:55:47.472Z": 1_079_337_347_472,
+    "2004-03-15T09:55:47.472+02:00": 1_079_337_347_472,
+    "2004-03-15T07:55:47.472999": 1_079_337_347_472,
+    "1987-02-24T12:51:47.341Z": 541_169_507_341,
+    "2039-03-08T19:46:13.411Z": 2_183_226_373_411,
+    "1969-12-31T23:59:59.9995Z": -1,
+}
+
+
+def test_fractional_iso_timestamps_parse_to_exact_milliseconds():
+    got = {stamp: ingest.parse_timestamp(stamp) for stamp in FRACTIONAL_STAMPS}
+    assert got == FRACTIONAL_STAMPS
+
+
 def test_loader_rejects_bad_labels_and_ragged_rows(tmp_path):
     csv_path, manifest_path = _write_dataset(tmp_path, ["1000,2,80,web"])
     with pytest.raises(DataError, match="label"):
