@@ -8,9 +8,11 @@ each strategy directory also gets a multi-seed summary.
 
 import argparse
 import logging
+import os
 import shutil
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -165,9 +167,13 @@ def _write_summary(strat_dir, endpoint_maps):
     for key, (median, iqr) in multiseed_summary(endpoint_maps).items():
         pairs += [(f"{key}.median", median), (f"{key}.iqr", iqr)]
     text = write_pairs(pairs)
+    tmp = strat_dir / f".summary.txt.{os.getpid()}"  # moved into place whole, as a cell is
     try:
-        (strat_dir / "summary.txt").write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, strat_dir / "summary.txt")
     except OSError as exc:
+        with suppress(OSError):  # also when it was never made
+            tmp.unlink()
         raise ConfigError(f"cannot write the summary: {exc}") from exc
     return text
 
@@ -193,6 +199,9 @@ def cmd_run(args):
     )
     if schedule is not None:
         _check_trigger_schedule(schedule, data.y_stream.size, cfg.settings.batch_size)
+        if len(cfg.seeds) > 1:
+            path, seeds = cfg.trigger_schedule_path, cfg.seeds
+            logger.warning("every seed replays the one trigger schedule %s: seeds %s", path, seeds)
 
     out_root = Path(cfg.out_dir)
     cores = {}  # seed -> the frozen core its first cell trained, shared by its later cells

@@ -127,13 +127,6 @@ class AdwinDetector:
         self.total_sum = float(totals[last])
         return hit
 
-    def _drop_oldest_bucket(self):
-        # merges move buckets up and drops trim empty top rows: the top row holds the oldest
-        self.total_count -= 1 << (len(self.rows) - 1)
-        self.total_sum -= self.rows[-1].pop(0)
-        while len(self.rows) > 1 and not self.rows[-1]:
-            self.rows.pop()
-
     def _shrink(self):
         # Every drop count j at once: column j is the window less its j oldest
         # buckets. The last column, one bucket, has no cut, so argmin finds the stop.
@@ -144,5 +137,8 @@ class AdwinDetector:
         n0 = np.cumsum(np.where(kept, sizes[:, None], 0), axis=0)
         n = self.total_count - np.concatenate(([0], np.cumsum(sizes)[:-1]))
         total = np.subtract.accumulate(np.concatenate(([self.total_sum], sums[:-1])))
-        for _ in range(int(_violating(s0, n0, n, total, kept, self.delta).argmin())):
-            self._drop_oldest_bucket()
+        j = int(_violating(s0, n0, n, total, kept, self.delta).argmin())
+        # the oldest bucket kept sits in the top row; a row below it may be empty
+        top = int(sizes[j]).bit_length()
+        self.rows = [sums[j:][sizes[j:] == 1 << r].tolist() for r in range(top)]
+        self.total_count, self.total_sum = int(n[j]), float(total[j])

@@ -39,7 +39,6 @@ SUBSTRING_DENYLIST = (
 # Rows per block read by load_events: smaller blocks barely lower its peak
 # memory further, larger ones raise it.
 BLOCK_ROWS = 1024
-UNSEEN_CATEGORY = "__unseen__"
 TIME_SINCE_COLUMN = "time_since_last_event"
 
 
@@ -236,11 +235,8 @@ class Preprocessor:
     def __init__(self, categorical_columns, numeric_columns):
         self.categorical_columns = list(categorical_columns)
         self.numeric_columns = list(numeric_columns)
-        self.onehot_vocab = {}
-        self.cat_mode = {}
-        self.num_median = {}
-        self.num_mean = {}
-        self.num_std = {}
+        self.slots = {}  # column -> ({training category: slot}, mode's slot); unseen: len(slot)
+        self.scale = {}  # column -> (median, mean, std) of the imputed training column
         self._fitted = False
 
     def fit(self, train):
@@ -251,26 +247,23 @@ class Preprocessor:
             counts = Counter(v for v in train.cells[col] if v.strip())  # in first-seen order
             if not counts:
                 raise DataError(f"column {col!r} entirely missing in training split")
-            self.cat_mode[col] = max(counts, key=counts.get)  # first-seen wins ties
-            self.onehot_vocab[col] = [*counts, UNSEEN_CATEGORY]
+            slot = {v: i for i, v in enumerate(counts)}
+            self.slots[col] = (slot, slot[max(counts, key=counts.get)])  # first-seen wins ties
         for col in self.numeric_columns:
             values = train.numbers[col]
             missing = np.isnan(values)
             if missing.all():
                 raise DataError(f"column {col!r} entirely missing in training split")
-            self.num_median[col] = median = float(np.median(values[~missing]))
+            median = float(np.median(values[~missing]))
             imputed = np.where(missing, median, values)
             std = float(np.std(imputed))
-            self.num_mean[col] = float(np.mean(imputed))
-            self.num_std[col] = std if std > 0.0 else 1.0
+            self.scale[col] = (median, float(np.mean(imputed)), std if std > 0.0 else 1.0)
         self._fitted = True
         return self
 
     @property
     def width(self):
-        return len(self.numeric_columns) + sum(
-            len(self.onehot_vocab[c]) for c in self.categorical_columns
-        )
+        return len(self.scale) + sum(len(slot) + 1 for slot, _ in self.slots.values())
 
     def transform(self, table):
         if not self._fitted:
@@ -278,18 +271,13 @@ class Preprocessor:
         n = len(table)
         X = np.zeros((n, self.width), dtype=np.float64)
         offset = 0
-        for col in self.categorical_columns:
-            vocab = self.onehot_vocab[col]
-            index = {v: i for i, v in enumerate(vocab[:-1])}
-            unseen_slot = len(vocab) - 1
-            mode_slot = index[self.cat_mode[col]]
-            slots = [index.get(v, unseen_slot) if v.strip() else mode_slot for v in table.cells[col]]
-            X[np.arange(n), offset + np.array(slots, dtype=np.intp)] = 1.0
-            offset += len(vocab)
-        for k, col in enumerate(self.numeric_columns):
+        for col, (slot, mode) in self.slots.items():
+            hot = [slot.get(v, len(slot)) if v.strip() else mode for v in table.cells[col]]
+            X[np.arange(n), offset + np.array(hot, dtype=np.intp)] = 1.0
+            offset += len(slot) + 1
+        for k, (col, (median, mean, std)) in enumerate(self.scale.items()):
             values = table.numbers[col]
-            imputed = np.where(np.isnan(values), self.num_median[col], values)
-            X[:, offset + k] = (imputed - self.num_mean[col]) / self.num_std[col]
+            X[:, offset + k] = (np.where(np.isnan(values), median, values) - mean) / std
         return X
 
 

@@ -123,17 +123,14 @@ def write_dataset(spec, csv_path, manifest_path):
     timestamps, labels, X, categories = generate_stream(spec)
     feature_columns = [f"feat_{i}" for i in range(spec.n_features)]
     header = ["timestamp", "label"] + feature_columns
+    columns = [timestamps.tolist(), labels.tolist(), *X.T.tolist()]  # csv writes a float by repr
     if categories is not None:
         header.append("alert_category")
+        columns.append(categories.tolist())
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(spec.length):
-            row = [int(timestamps[i]), int(labels[i])]
-            row.extend(repr(float(v)) for v in X[i])
-            if categories is not None:
-                row.append(categories[i])
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
     manifest = DatasetManifest(
         label_column="label",
         timestamp_column="timestamp",

@@ -446,6 +446,27 @@ def test_unwritable_summary_is_a_config_error(dataset, tmp_path, capsys, command
     assert {p: p.read_bytes() for p in out.glob("frozen/4*/*")} == cells
 
 
+def test_a_failed_summary_write_keeps_the_earlier_summary(dataset, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(dataset, out, seed="40,41")) == 0
+    strat_dir = out / "frozen"
+    summary = (strat_dir / "summary.txt").read_bytes()
+    entries = sorted(p.name for p in strat_dir.iterdir())
+    write_text = Path.write_text
+
+    def half_then_full_disk(path, text, *args, **kwargs):
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full_disk)
+    capsys.readouterr()
+    assert main(["summarize", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the summary: ") and err.count("\n") == 1
+    assert (strat_dir / "summary.txt").read_bytes() == summary
+    assert sorted(p.name for p in strat_dir.iterdir()) == entries
+
+
 def test_summarize_missing_directory_is_a_data_error(tmp_path):
     assert main(["summarize", "--out", str(tmp_path / "nothing")]) == 2
 
@@ -700,7 +721,25 @@ def test_schedule_entries_must_be_batch_ends(dataset, tmp_path, capsys, caplog, 
             assert (out / "matched-replay" / seed / "triggers.txt").read_text() == "1000\n3000\n"
         # entries beyond the stream end warn once per run, not once per cell
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == ["1 scheduled trigger(s) beyond stream end ignored: [99000]"]
+        assert warnings == [
+            "1 scheduled trigger(s) beyond stream end ignored: [99000]",
+            f"every seed replays the one trigger schedule {schedule}: seeds [42, 43]",
+        ]
+
+
+@pytest.mark.parametrize("seeds,warnings", [("42,43", 1), ("42", 0)])
+def test_one_schedule_replayed_onto_several_seeds_warns_once(
+    dataset, tmp_path, caplog, seeds, warnings
+):
+    schedule = tmp_path / "triggers.txt"
+    schedule.write_text("1000\n3000\n")
+    extra = ["--strategy.trigger_schedule", str(schedule)]
+    args = _run_args(dataset, tmp_path / "out", strategy="matched-replay", seed=seeds, extra=extra)
+    with caplog.at_level("WARNING"):
+        assert main(args) == 0
+    logged = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    line = f"every seed replays the one trigger schedule {schedule}: seeds [42, 43]"
+    assert logged == [line] * warnings
 
 
 def test_a_cell_reruns_from_its_config_file(dataset, tmp_path):

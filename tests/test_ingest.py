@@ -9,7 +9,6 @@ from alertscreen.ingest import (
     DatasetManifest,
     EventTable,
     Preprocessor,
-    UNSEEN_CATEGORY,
     apply_leakage_filter,
     chronological_split,
     compute_time_since,
@@ -120,23 +119,23 @@ def test_time_since_sums_to_total_span():
 
 def test_numeric_imputation_precedes_standardization():
     pre = Preprocessor([], ["v"]).fit(_events(["1", "3", ""]))
-    assert pre.num_median["v"] == 2.0
-    assert pre.num_mean["v"] == 2.0
+    median, mean, std = pre.scale["v"]
+    assert median == 2.0
+    assert mean == 2.0
     # brute-force two-pass reference on the imputed column {1, 3, 2}
-    assert pre.num_std["v"] == pytest.approx(np.std([1.0, 3.0, 2.0]))
+    assert std == pytest.approx(np.std([1.0, 3.0, 2.0]))
 
 
 def test_constant_column_std_clamped_to_one():
     pre = Preprocessor([], ["v"]).fit(_events(["5", "5", "5"]))
-    assert pre.num_std["v"] == 1.0
+    assert pre.scale["v"][2] == 1.0
     X = pre.transform(_events(["5", "7"]))
     assert X[0, 0] == 0.0 and X[1, 0] == 2.0
 
 
 def test_categorical_vocab_order_mode_and_unseen_slot():
     pre = Preprocessor(["v"], []).fit(_events(["a", "a", "b"]))
-    assert pre.onehot_vocab["v"] == ["a", "b", UNSEEN_CATEGORY]
-    assert pre.cat_mode["v"] == "a"
+    assert pre.slots["v"] == ({"a": 0, "b": 1}, 0)  # vocabulary in first-seen order, mode "a"
     X = pre.transform(_events(["z"]))
     assert list(X[0]) == [0.0, 0.0, 1.0]
 
@@ -147,9 +146,15 @@ def test_missing_categorical_imputes_mode():
     assert list(X[0]) == [1.0, 0.0, 0.0]
 
 
+def test_a_training_category_named_like_a_sentinel_keeps_its_own_slot():
+    pre = Preprocessor(["v"], []).fit(_events(["a", "__unseen__", "a"]))
+    X = pre.transform(_events(["__unseen__", "z", "a", ""]))
+    assert X.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
+
 def test_standardization_centering_and_scale():
     pre = Preprocessor([], ["v"]).fit(_events(["0", "10"]))
-    mu, sigma = pre.num_mean["v"], pre.num_std["v"]
+    _, mu, sigma = pre.scale["v"]
     X = pre.transform(_events([str(mu), str(mu + sigma)]))
     assert X[0, 0] == pytest.approx(0.0)
     assert X[1, 0] == pytest.approx(1.0)
