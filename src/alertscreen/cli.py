@@ -1,18 +1,17 @@
 """Command-line harness: run, synth, project, summarize.
 
-Exit codes: 0 success, 1 configuration error, 2 data error. Every run
-writes one directory per (strategy, seed) containing exactly the config
-snapshot, the trace CSV, the endpoints file, and the trigger schedule;
-each strategy directory also gets a multi-seed summary.
+Exit codes: 0 success, 1 configuration error, 2 data error. Every run writes one
+directory per (strategy, seed) holding exactly the config snapshot, trace CSV,
+endpoints file and trigger schedule, and a multi-seed summary per strategy. Each
+output, synth's CSV and manifest too, is made aside and moved into place whole.
 """
 
 import argparse
 import logging
-import os
 import shutil
 import sys
 import tempfile
-from contextlib import suppress
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -128,37 +127,29 @@ def _check_trigger_schedule(schedule, stream_events, batch_size):
         logger.warning("%d scheduled trigger(s) beyond stream end ignored: %s", len(beyond), beyond)
 
 
-def _write_run_dir(run_dir, cfg, strategy, seed, result):
-    """Write the four run files into a temporary sibling, then move it into place.
+@contextmanager
+def _aside(path):
+    """Yield a path to make ``path``'s new file or directory at, then move it onto ``path``.
 
-    An earlier run is moved aside first and deleted only once the new one
-    is in place, so a failure leaves it in ``run_dir`` untouched, and a
-    rerun replaces the whole directory, so no stale file survives.
+    The yielded path lies in a fresh dot-named sibling, which ``summarize`` skips as no
+    seed, so a failure leaves ``path`` as it was, and the new output's mode follows the
+    umask. A directory cannot be renamed onto a non-empty one, so an earlier entry moves
+    into the sibling before a new directory goes in, and back if that fails.
     """
-    run_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp_dir = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}.", dir=run_dir.parent))
-    old_dir = tmp_dir.with_name(tmp_dir.name + ".old")  # the earlier run, until the new one is in
+    stage = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+    new, old = stage / "new", stage / "old"
     try:
-        snapshot = replace(cfg, strategies=[strategy], seeds=[seed], out_dir=str(run_dir))
-        texts = (
-            serialize_config(snapshot),
-            trace_to_csv(result.trace),
-            result.endpoints.to_text(),
-            "".join(f"{t}\n" for t in result.ledger.trigger_events),
-        )
-        for name, text in zip(RUN_FILES, texts, strict=True):
-            (tmp_dir / name).write_text(text, encoding="utf-8")
-        if run_dir.exists():
-            run_dir.rename(old_dir)
+        yield new
+        if new.is_dir() and path.exists():
+            path.rename(old)
         try:
-            tmp_dir.rename(run_dir)
+            new.rename(path)
         except OSError:
-            if old_dir.exists():
-                old_dir.rename(run_dir)
+            if old.exists():
+                old.rename(path)
             raise
     finally:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(old_dir, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_summary(strat_dir, endpoint_maps):
@@ -167,13 +158,10 @@ def _write_summary(strat_dir, endpoint_maps):
     for key, (median, iqr) in multiseed_summary(endpoint_maps).items():
         pairs += [(f"{key}.median", median), (f"{key}.iqr", iqr)]
     text = write_pairs(pairs)
-    tmp = strat_dir / f".summary.txt.{os.getpid()}"  # moved into place whole, as a cell is
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, strat_dir / "summary.txt")
+        with _aside(strat_dir / "summary.txt") as tmp:
+            tmp.write_text(text, encoding="utf-8")
     except OSError as exc:
-        with suppress(OSError):  # also when it was never made
-            tmp.unlink()
         raise ConfigError(f"cannot write the summary: {exc}") from exc
     return text
 
@@ -215,11 +203,21 @@ def cmd_run(args):
                     result = run_stream(*stream, settings, cores.get(seed))
             except FloatingPointError as exc:
                 raise ConfigError(f"settings drive the model out of float range: {exc}") from exc
-            except MemoryError as exc:
-                raise ConfigError(f"settings need more memory than there is: {exc}") from exc
             cores.setdefault(seed, result.core)
-            try:
-                _write_run_dir(out_root / strategy / str(seed), cfg, strategy, seed, result)
+            cell = out_root / strategy / str(seed)
+            snapshot = replace(cfg, strategies=[strategy], seeds=[seed], out_dir=str(cell))
+            texts = (
+                serialize_config(snapshot),
+                trace_to_csv(result.trace),
+                result.endpoints.to_text(),
+                "".join(f"{t}\n" for t in result.ledger.trigger_events),
+            )
+            try:  # a rerun replaces the whole directory, so no stale file survives
+                cell.parent.mkdir(parents=True, exist_ok=True)
+                with _aside(cell) as tmp:
+                    tmp.mkdir()
+                    for name, text in zip(RUN_FILES, texts, strict=True):
+                        (tmp / name).write_text(text, encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot write under run.out: {exc}") from exc
             endpoint_maps.append(asdict(result.endpoints))
@@ -255,12 +253,13 @@ def cmd_synth(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     manifest_path = args.manifest or args.out + ".manifest"
+    if Path(manifest_path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--manifest must differ from --out: {manifest_path}")
     try:
-        write_dataset(spec, args.out, manifest_path)
+        with _aside(Path(args.out)) as csv_tmp, _aside(Path(manifest_path)) as manifest_tmp:
+            write_dataset(spec, csv_tmp, manifest_tmp)
     except OSError as exc:
         raise ConfigError(f"cannot write the synthetic dataset: {exc}") from exc
-    except MemoryError as exc:
-        raise ConfigError(f"settings need more memory than there is: {exc}") from exc
     print(f"wrote {args.out} and {manifest_path}")
     return 0
 
@@ -295,7 +294,7 @@ def cmd_summarize(args):
         endpoint_maps = []
         for seed_dir in sorted(strat_dir.iterdir(), key=lambda p: p.name):
             endpoint_file = seed_dir / "endpoints.txt"
-            seed = seed_dir.name  # a seed, not a temporary or set-aside cell (.40.x, .40.x.old)
+            seed = seed_dir.name  # a seed, not a staging directory (.40.x) left by a kill
             if not (seed.isascii() and seed.isdecimal() and endpoint_file.is_file()):
                 continue
             try:
@@ -336,6 +335,9 @@ def main(argv=None):
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"config error: settings need more memory than there is: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
 import argparse
+import csv
 import dataclasses
 import functools
 import math
+import os
 import shutil
+import stat
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -570,6 +574,8 @@ def test_unusable_run_paths_and_files_end_with_a_message(
         ["run", "--strategy", "frozen", "--seed", "1"],
         # 10**15 rows exceed the user address space, so numpy refuses them before allocating
         ["synth", "--out", "{tmp}/s.csv", "--length", str(10**15)],
+        # one path for both files would leave only the manifest
+        ["synth", "--out", "{tmp}/s.csv", "--manifest", "{tmp}/s.csv", "--length", "100"],
     ],
 )
 def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
@@ -578,6 +584,52 @@ def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_failed_synth_write_keeps_the_earlier_dataset(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--out", str(out), "--length", "3000", "--seed", "3"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    writer = csv.writer
+
+    def full_disk_at_row_500(fh, *args, **kwargs):
+        inner = writer(fh, *args, **kwargs)
+
+        def writerows(rows):
+            for i, row in enumerate(rows):
+                if i == 500:
+                    raise OSError(28, "No space left on device")
+                inner.writerow(row)
+
+        return SimpleNamespace(writerow=inner.writerow, writerows=writerows)
+
+    monkeypatch.setattr(csv, "writer", full_disk_at_row_500)
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--length", "3000", "--seed", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the synthetic dataset: ")
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["s.csv", "s.csv.manifest"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask):
+    csv_path, manifest_path = tmp_path / "s.csv", tmp_path / "s.csv.manifest"
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        synth = ["synth", "--out", str(csv_path), "--length", "4000", "--prevalence", "0.02"]
+        assert main(synth + ["--n-features", "3", "--seed", "11"]) == 0
+        assert main(_run_args((csv_path, manifest_path), out)) == 0
+    finally:
+        os.umask(previous)
+    cell = out / "frozen" / "42"
+    assert stat.S_IMODE(cell.stat().st_mode) == 0o777 & ~umask
+    files = [cell / name for name in RUN_FILES]
+    files += [cell.parent / "summary.txt", csv_path, manifest_path]
+    modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in files}
+    assert modes == {f.name: 0o666 & ~umask for f in files}
 
 
 def _synth_bytes(tmp_path, name, *args):
