@@ -117,6 +117,7 @@ class FrozenCore:
     ensemble: gbt.BoostedEnsemble
     rng_state: dict  # the generator's bit_generator.state right after training
     margin: np.ndarray  # the core's margin over the whole stream, read-only
+    proba: np.ndarray  # its probabilities, read by a batch that no appended tree scores
     tail_scores: np.ndarray  # the training tail's scores that theta is picked from
     built_for: dict  # seed, resolved objective, train config, tail and stream lengths
 
@@ -140,8 +141,9 @@ def build_core(X_train, y_train, X_stream, settings):
     rng_state = rng.bit_generator.state
     tail_scores = ensemble.predict_proba(X_train[-built_for["tail_n"] :])
     margin = ensemble.predict_margin(X_stream)
-    margin.flags.writeable = tail_scores.flags.writeable = False
-    return FrozenCore(ensemble, rng_state, margin, tail_scores, built_for)
+    proba = ensemble.predict_proba(X_stream, margin, ensemble.n_trees)
+    margin.flags.writeable = proba.flags.writeable = tail_scores.flags.writeable = False
+    return FrozenCore(ensemble, rng_state, margin, proba, tail_scores, built_for)
 
 
 @dataclass
@@ -194,20 +196,21 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
 
     n = y_stream.size
     scores = np.zeros(n, dtype=np.float64)
-    cum_fp = 0
-    cum_missed = 0
+    cum_fp = cum_missed = 0
     cooldown = 0
     trace = []
 
     for start in range(0, n, settings.batch_size):
         end = min(start + settings.batch_size, n)
         yb = y_stream[start:end]
-        p = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], core_trees)
+        if ensemble.n_trees == core_trees:
+            p = core.proba[start:end]
+        else:
+            p = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], core_trees)
         yhat = p >= theta
         scores[start:end] = p
-        cum_fp += int(((yb == 0) & yhat).sum())
-        cum_missed += int(((yb == 1) & ~yhat).sum())
-        window.push_batch(yb, yhat)
+        _, fp, missed, _ = window.push_batch(yb, yhat)
+        cum_fp, cum_missed = cum_fp + fp, cum_missed + missed
 
         triggered = False
         if trigger == "adwin":

@@ -3,8 +3,9 @@
 Rolling metrics are computed over a trailing event window and reported as
 explicit None when undefined (no positives for recall/F1, no predicted
 positives for precision, no negatives for FPR); undefined values serialize
-as empty fields, never as 0 or NaN. Endpoint quantities are chosen so every
-reported number can be recomputed offline from the persisted trace.
+as empty fields, never as 0 or NaN. The window's four counts run with it, so
+a batch costs in proportion to its events. Endpoint quantities are chosen so
+every reported number can be recomputed offline from the persisted trace.
 """
 
 import math
@@ -28,15 +29,26 @@ class RollingWindow:
         if capacity <= 0:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self._codes = np.empty(0, dtype=np.int8)
+        self._codes = bytearray()  # a deleted prefix is skipped, and compacted on growth
+        self._counts = (0, 0, 0, 0)  # tn, fp, fn, tp over the window
 
     def push_batch(self, labels, preds):
-        codes = 2 * (np.asarray(labels) == 1) + (np.asarray(preds) == 1)
-        self._codes = np.concatenate([self._codes, codes.astype(np.int8)])[-self.capacity :]
+        """Append a batch, oldest event first; return the batch's own (tn, fp, fn, tp)."""
+        labels, preds = np.asarray(labels), np.asarray(preds)
+        if labels.shape != preds.shape:
+            raise ValueError("labels and predictions must have equal length")
+        codes = (2 * (labels == 1) + (preds == 1)).astype(np.int8)
+        batch = np.bincount(codes, minlength=4).tolist()
+        self._codes += codes.tobytes()
+        drop = max(len(self._codes) - self.capacity, 0)  # the oldest codes, one slice
+        gone = [self._codes.count(code, 0, drop) for code in range(4)]
+        del self._codes[:drop]
+        self._counts = tuple(w + b - g for w, b, g in zip(self._counts, batch, gone))
+        return tuple(batch)
 
     def counts(self):
         """(tp, fp, tn, fn) over the window."""
-        tn, fp, fn, tp = np.bincount(self._codes, minlength=4).tolist()
+        tn, fp, fn, tp = self._counts
         return tp, fp, tn, fn
 
     def metrics(self):

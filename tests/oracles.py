@@ -413,10 +413,11 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
     """Reference stream pass: train, pick theta, score batches, no controller.
 
     A frozen run's trace must equal this row for row; the controller adds
-    nothing on top of plain batch prediction.
+    nothing on top of plain batch prediction. Each row's rolling metrics are
+    recounted from scratch over the trailing window.
     """
     from alertscreen.gbt import train_initial
-    from alertscreen.metrics import RollingWindow, TraceRow
+    from alertscreen.metrics import TraceRow
     from alertscreen.objectives import resolve_pos_weight
 
     rng = np.random.default_rng(settings.seed)
@@ -430,8 +431,8 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
         settings.grid_points,
         settings.min_recall,
     )
-    window = RollingWindow(settings.rolling_window)
     rows = []
+    labels, preds = [], []
     cum_fp = cum_missed = 0
     n = y_stream.size
     for start in range(0, n, settings.batch_size):
@@ -440,18 +441,15 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
         yhat = ensemble.predict_proba(X_stream[start:end]) >= theta
         cum_fp += int(((yb == 0) & yhat).sum())
         cum_missed += int(((yb == 1) & ~yhat).sum())
-        window.push_batch(yb, yhat)
-        m = window.metrics()
-        rows.append(
-            TraceRow(
-                end, m["f1"], m["precision"], m["recall"], m["fpr"], cum_fp, cum_missed, 0, 0, 0, 0
-            )
-        )
+        labels.extend(yb.tolist())
+        preds.extend(yhat.tolist())
+        counts = recount_window(labels, preds, settings.rolling_window)
+        rows.append(TraceRow(end, *window_metrics(*counts), cum_fp, cum_missed, 0, 0, 0, 0))
     return rows
 
 
 def recount_window(labels, preds, capacity):
-    """Confusion counts of the trailing ``capacity`` events, from scratch."""
+    """Confusion counts (tp, fp, tn, fn) of the trailing ``capacity`` events, from scratch."""
     tail_labels = labels[-capacity:]
     tail_preds = preds[-capacity:]
     tp = fp = tn = fn = 0
@@ -465,6 +463,16 @@ def recount_window(labels, preds, capacity):
         else:
             tn += 1
     return tp, fp, tn, fn
+
+
+def window_metrics(tp, fp, tn, fn):
+    """(f1, precision, recall, fpr) from confusion counts, None where undefined."""
+    support, flagged, benign = tp + fn, tp + fp, fp + tn
+    recall = tp / support if support else None
+    f1 = 2.0 * tp / (2.0 * tp + fp + fn) if support else None
+    precision = tp / flagged if flagged else None
+    fpr = fp / benign if benign else None
+    return f1, precision, recall, fpr
 
 
 def reference_missed_positive_stats(labels, preds, burst_gap, delay_mode):

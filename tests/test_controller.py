@@ -455,6 +455,43 @@ def test_run_on_another_strategys_core_equals_a_cold_run(batch_size, kind, repla
             assert getattr(tree_a, name).tobytes() == getattr(tree_b, name).tobytes()
 
 
+@pytest.mark.parametrize("batch_size", [1, 7, 1_000])
+def test_core_probabilities_equal_scoring_each_batch(batch_size):
+    X_train, y_train, X_stream, _ = _grid_splits(7)
+    X_stream = X_stream[:4_321]  # a tail that no batch size but 1 divides
+    core = build_core(X_train, y_train, X_stream, _grid_settings(7, "frozen"))
+    assert not core.proba.flags.writeable
+    ensemble, n = core.ensemble, X_stream.shape[0]
+    for start in range(0, n, batch_size):
+        end = min(start + batch_size, n)
+        scored = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], ensemble.n_trees)
+        assert core.proba[start:end].tobytes() == scored.tobytes()
+
+
+def test_a_batch_no_appended_tree_scores_reads_the_core(monkeypatch):
+    core = _unused_core(1_000)
+    scored, seen = [], []  # rows per predict_proba call; each batch's scores as ADWIN sees them
+    predict_proba, update = gbt.BoostedEnsemble.predict_proba, AdwinDetector.update
+
+    def counting(self, X, *args):
+        scored.append(len(X))
+        return predict_proba(self, X, *args)
+
+    def recording(self, values):
+        seen.append(np.array(values))
+        return update(self, values)
+
+    monkeypatch.setattr(gbt.BoostedEnsemble, "predict_proba", counting)
+    monkeypatch.setattr(AdwinDetector, "update", recording)
+    frozen = run_stream(*_grid_splits(1_000), _grid_settings(1_000, "frozen"), core)
+    assert scored == [] and frozen.endpoints.trees == GRID_TRAIN.initial_rounds
+    adaptive = run_stream(*_grid_splits(1_000), _grid_settings(1_000, "adwin-hybrid"), core)
+    first = adaptive.ledger.update_events[0]  # the batches after it score the appended trees
+    assert scored == [1_000] * ((GRID_STREAMS[1_000][0] - first) // 1_000)
+    for start, values in zip(range(0, first, 1_000), seen):
+        assert values.tobytes() == core.proba[start : start + 1_000].tobytes()
+
+
 # what a core depends on, by the name the refusal gives
 CORE_INPUTS = ["seed", "objective", "tail_n", "stream_events"] + [
     f"train.{f.name}" for f in fields(gbt.TrainConfig)

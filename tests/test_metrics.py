@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,79 @@ def test_window_counters_match_brute_force_recount():
         if len(labels) >= capacity:
             tp, fp, tn, fn = window.counts()
             assert tp + fp + tn + fn == capacity
+
+
+def _outcomes(seed, n):
+    rng = np.random.default_rng(seed)
+    return (rng.random(n) < 0.2).astype(np.int64), rng.random(n) < 0.3
+
+
+def _batch_counts(labels, preds):
+    """(tn, fp, fn, tp) of one batch, as push_batch returns them."""
+    tp, fp, tn, fn = recount_window(list(labels), list(preds), max(len(labels), 1))
+    return tn, fp, fn, tp
+
+
+# capacities below, equal to and above the batch sizes; 50 events, which
+# only batch size 1 divides
+@pytest.mark.parametrize("capacity", [1, 5, 7, 1_000])
+@pytest.mark.parametrize("batch_size", [1, 3, 7, 8])
+def test_window_matches_the_recount_after_every_batch(capacity, batch_size):
+    labels, preds = _outcomes(capacity * 100 + batch_size, 50)
+    window = RollingWindow(capacity)
+    for start in range(0, labels.size, batch_size):
+        lb, pb = labels[start : start + batch_size], preds[start : start + batch_size]
+        assert window.push_batch(lb, pb) == _batch_counts(lb, pb)
+        end = start + lb.size
+        assert window.counts() == recount_window(list(labels[:end]), list(preds[:end]), capacity)
+
+
+def test_a_batch_longer_than_the_window_keeps_its_last_codes():
+    labels, preds = _outcomes(5, 40)
+    window = RollingWindow(6)
+    for start, end in [(0, 4), (4, 30), (30, 31), (31, 40)]:
+        lb, pb = labels[start:end], preds[start:end]
+        assert window.push_batch(lb, pb) == _batch_counts(lb, pb)
+        assert window.counts() == recount_window(list(labels[:end]), list(preds[:end]), 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.lists(st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=20), max_size=8),
+)
+def test_window_counts_equal_the_recount_for_any_batches(capacity, batches):
+    window = RollingWindow(capacity)
+    labels, preds = [], []
+    for batch in batches:
+        lb, pb = [label for label, _ in batch], [pred for _, pred in batch]
+        labels += lb
+        preds += pb
+        assert window.push_batch(np.array(lb, dtype=np.int64), np.array(pb, dtype=bool)) == (
+            _batch_counts(lb, pb)
+        )
+        assert window.counts() == recount_window(labels, preds, capacity)
+
+
+def test_a_window_of_huge_capacity_holds_only_what_was_pushed():
+    tracemalloc.start()
+    try:
+        window = RollingWindow(10**12)
+        window.push_batch([1, 0, 1], [1, 1, 0])
+        window.push_batch(np.zeros(1_000, dtype=np.int64), np.zeros(1_000, dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window.counts() == (1, 1, 1_000, 1)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("labels, preds", [([0, 1, 0], [1]), ([1], [0, 1]), ([[0, 1]], [0, 1])])
+def test_window_refuses_labels_and_predictions_of_unequal_shape(labels, preds):
+    window = RollingWindow(10)
+    with pytest.raises(ValueError, match="equal length"):
+        window.push_batch(labels, preds)
+    assert window.counts() == (0, 0, 0, 0)
 
 
 def test_positive_window_recall_examples():
