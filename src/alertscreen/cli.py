@@ -255,6 +255,9 @@ def cmd_synth(args):
     manifest_path = args.manifest or args.out + ".manifest"
     if Path(manifest_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"--manifest must differ from --out: {manifest_path}")
+    for flag, path in (("--out", args.out), ("--manifest", manifest_path)):
+        if Path(path).is_dir():  # checked first: the manifest moves into place before the CSV
+            raise ConfigError(f"{flag} names an existing directory: {path}")
     try:
         with _aside(Path(args.out)) as csv_tmp, _aside(Path(manifest_path)) as manifest_tmp:
             write_dataset(spec, csv_tmp, manifest_tmp)

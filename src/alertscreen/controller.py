@@ -108,7 +108,7 @@ class RunLedger:
 
 @dataclass(frozen=True, eq=False)
 class FrozenCore:
-    """One seed's trained core and its scores, for every strategy of that seed to wrap.
+    """What training made for one seed, for every strategy of that seed to wrap.
 
     Nothing draws from the generator between training and the first trigger,
     so a run that restarts from ``rng_state`` equals one that trained the core.
@@ -117,9 +117,7 @@ class FrozenCore:
     ensemble: gbt.BoostedEnsemble
     rng_state: dict  # the generator's bit_generator.state right after training
     margin: np.ndarray  # the core's margin over the whole stream, read-only
-    proba: np.ndarray  # its probabilities, read by a batch that no appended tree scores
-    tail_scores: np.ndarray  # the training tail's scores that theta is picked from
-    built_for: dict  # seed, resolved objective, train config, tail and stream lengths
+    built_for: dict  # seed, resolved objective, train config and stream length
 
 
 def _core_inputs(settings, y_train, stream_events):
@@ -128,22 +126,18 @@ def _core_inputs(settings, y_train, stream_events):
         "seed": settings.seed,
         "objective": resolve_pos_weight(settings.objective, y_train),
         "train": settings.train,
-        "tail_n": max(1, int(round(settings.tail_fraction * y_train.size))),
         "stream_events": stream_events,
     }
 
 
 def build_core(X_train, y_train, X_stream, settings):
-    """Train the frozen core and score the training tail and the stream with it."""
+    """Train the frozen core and take its margin over the stream."""
     built_for = _core_inputs(settings, y_train, X_stream.shape[0])
     rng = np.random.default_rng(settings.seed)
     ensemble = gbt.train_initial(X_train, y_train, built_for["objective"], settings.train, rng)
-    rng_state = rng.bit_generator.state
-    tail_scores = ensemble.predict_proba(X_train[-built_for["tail_n"] :])
     margin = ensemble.predict_margin(X_stream)
-    proba = ensemble.predict_proba(X_stream, margin, ensemble.n_trees)
-    margin.flags.writeable = proba.flags.writeable = tail_scores.flags.writeable = False
-    return FrozenCore(ensemble, rng_state, margin, proba, tail_scores, built_for)
+    margin.flags.writeable = False
+    return FrozenCore(ensemble, rng.bit_generator.state, margin, built_for)
 
 
 @dataclass
@@ -182,9 +176,10 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     ensemble = core.ensemble
     core_trees = ensemble.n_trees  # a batch scores only the trees after these
 
-    tail_labels = y_train[-built_for["tail_n"] :]
+    tail_n = max(1, int(round(settings.tail_fraction * y_train.size)))
+    tail_scores = ensemble.predict_proba(X_train[-tail_n:])
     theta = select_threshold(
-        core.tail_scores, tail_labels, threshold_policy, settings.grid_points, settings.min_recall
+        tail_scores, y_train[-tail_n:], threshold_policy, settings.grid_points, settings.min_recall
     )
 
     adwin = AdwinDetector(settings.adwin_delta) if trigger == "adwin" else None
@@ -195,21 +190,18 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
     ledger = RunLedger()
 
     n = y_stream.size
-    scores = np.zeros(n, dtype=np.float64)
+    scores = ensemble.predict_proba(X_stream, core.margin, core_trees)  # the core's scores
     cum_fp = cum_missed = 0
     cooldown = 0
     trace = []
 
     for start in range(0, n, settings.batch_size):
         end = min(start + settings.batch_size, n)
-        yb = y_stream[start:end]
-        if ensemble.n_trees == core_trees:
-            p = core.proba[start:end]
-        else:
-            p = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], core_trees)
-        yhat = p >= theta
-        scores[start:end] = p
-        _, fp, missed, _ = window.push_batch(yb, yhat)
+        rows = slice(start, end)
+        if ensemble.n_trees > core_trees:  # the appended trees rescore this batch's slice
+            scores[rows] = ensemble.predict_proba(X_stream[rows], core.margin[rows], core_trees)
+        p = scores[rows]
+        _, fp, missed, _ = window.push_batch(y_stream[rows], p >= theta)
         cum_fp, cum_missed = cum_fp + fp, cum_missed + missed
 
         triggered = False
@@ -265,9 +257,9 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
                 core.margin[idx],
                 core_trees,
             )
-            if result.cap_reached:
-                logger.info("tree cap reached at %d trees", result.ensemble.n_trees)
             ensemble = result.ensemble  # hot-swap; effective from the next batch
+            if ensemble.n_trees >= settings.train.max_trees:
+                logger.info("tree cap reached at %d trees", ensemble.n_trees)
             # at least one tree was appended: the trigger that filled pending saw room
             ledger.update_events.append(end)
             ledger.applied = len(ledger.queried_ids)
@@ -306,7 +298,7 @@ def run_stream(X_train, y_train, X_stream, y_stream, settings, core=None):
         final_rolling_fpr=trace[-1].rolling_fpr if trace else None,
         cum_fp=cum_fp,
         fp_per_million_benign=fp_burden(cum_fp, benign_count),
-        cum_missed_pos=stats.count,
+        cum_missed_pos=cum_missed,
         positive_window_recall=positive_window_recall([row.rolling_recall for row in trace]),
         max_missed_streak=stats.max_streak,
         mean_burst_delay=stats.mean_burst_delay,

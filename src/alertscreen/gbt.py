@@ -237,7 +237,6 @@ class BoostedEnsemble:
 class WarmStartResult:
     ensemble: BoostedEnsemble
     appended: int
-    cap_reached: bool
 
 
 def _sigmoid(z):
@@ -419,8 +418,8 @@ def warm_start_update(ensemble, X, y, objective, config, rng, prefix_margin=None
     the existing prefix is never modified. Given ``prefix_margin``, the
     margin of the first ``prefix_trees`` trees on X, only the later trees
     are scored for those predictions. Returns a new ensemble value so the
-    caller can hot-swap it; at the tree cap this is a no-op with a
-    cap-reached status. Sampling draws from ``rng``.
+    caller can hot-swap it; at the tree cap this is a no-op that appends
+    none. Sampling draws from ``rng``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -429,9 +428,8 @@ def warm_start_update(ensemble, X, y, objective, config, rng, prefix_margin=None
     ensemble._check_width(X)
     room = config.max_trees - ensemble.n_trees
     if room <= 0:
-        return WarmStartResult(ensemble, 0, True)
+        return WarmStartResult(ensemble, 0)
     n_new = min(config.rounds_per_update, room)
     margin = ensemble.predict_margin(X, prefix_margin, prefix_trees)
     trees = _boost(X, y, margin, ensemble.bin_edges, objective, config, n_new, rng)
-    updated = replace(ensemble, trees=ensemble.trees + trees)
-    return WarmStartResult(updated, n_new, updated.n_trees >= config.max_trees)
+    return WarmStartResult(replace(ensemble, trees=ensemble.trees + trees), n_new)

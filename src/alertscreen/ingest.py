@@ -227,9 +227,11 @@ class Preprocessor:
 
     Numeric columns are median-imputed then standardized with statistics of
     the imputed training matrix; zero-variance columns clamp sigma to 1 so
-    the width stays stable. Categorical columns are mode-imputed and
-    one-hot encoded over the training vocabulary in first-seen order, with
-    one reserved slot for categories first seen at stream time.
+    the width stays stable. A statistic that overflows float64 is a data
+    error; a stream value whose standardized form overflows becomes +-inf.
+    Categorical columns are mode-imputed and one-hot encoded over the
+    training vocabulary in first-seen order, with one reserved slot for
+    categories first seen at stream time.
     """
 
     def __init__(self, categorical_columns, numeric_columns):
@@ -254,10 +256,13 @@ class Preprocessor:
             missing = np.isnan(values)
             if missing.all():
                 raise DataError(f"column {col!r} entirely missing in training split")
-            median = float(np.median(values[~missing]))
-            imputed = np.where(missing, median, values)
-            std = float(np.std(imputed))
-            self.scale[col] = (median, float(np.mean(imputed)), std if std > 0.0 else 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # cells near the float maximum
+                median = float(np.median(values[~missing]))
+                imputed = np.where(missing, median, values)
+                mean, std = float(np.mean(imputed)), float(np.std(imputed))
+            if not np.isfinite([median, mean, std]).all():
+                raise DataError(f"column {col!r}: training median, mean or std overflows float64")
+            self.scale[col] = (median, mean, std if std > 0.0 else 1.0)
         self._fitted = True
         return self
 
@@ -277,7 +282,8 @@ class Preprocessor:
             offset += len(slot) + 1
         for k, (col, (median, mean, std)) in enumerate(self.scale.items()):
             values = table.numbers[col]
-            X[:, offset + k] = (np.where(np.isnan(values), median, values) - mean) / std
+            with np.errstate(over="ignore"):  # a value too far out to standardize is +-inf
+                X[:, offset + k] = (np.where(np.isnan(values), median, values) - mean) / std
         return X
 
 

@@ -79,13 +79,12 @@ def positive_window_recall(recalls):
 
 @dataclass
 class MissedPositiveStats:
-    count: int
     max_streak: int
     mean_burst_delay: float | None
 
 
 def missed_positive_stats(labels, preds, burst_gap, delay_mode):
-    """Missed-positive count, longest missed streak, mean burst delay.
+    """Longest streak of missed positives and mean burst delay.
 
     A burst is a maximal run of positives in which consecutive positives
     are separated by fewer than ``burst_gap`` benign events. The delay of
@@ -104,7 +103,7 @@ def missed_positive_stats(labels, preds, burst_gap, delay_mode):
     edges = np.flatnonzero(np.diff(np.concatenate(([False], missed[pos], [False]))))
     max_streak = int((edges[1::2] - edges[::2]).max(initial=0))  # runs of missed positives
     if pos.size == 0:
-        return MissedPositiveStats(0, max_streak, None)
+        return MissedPositiveStats(max_streak, None)
     # bursts as [start, end) ranges of pos; each burst's first detected positive, or end
     start = np.concatenate(([0], np.flatnonzero(np.diff(pos) - 1 >= burst_gap) + 1))
     end = np.append(start[1:], pos.size)
@@ -112,7 +111,7 @@ def missed_positive_stats(labels, preds, burst_gap, delay_mode):
     first = np.append(detected, pos.size)[np.searchsorted(detected, start)]
     at = pos if delay_mode == "events" else np.arange(pos.size)
     delays = np.where(first < end, at[np.minimum(first, end - 1)], at[end - 1] + 1) - at[start]
-    return MissedPositiveStats(int(missed.sum()), max_streak, int(delays.sum()) / delays.size)
+    return MissedPositiveStats(max_streak, int(delays.sum()) / delays.size)
 
 
 def fp_burden(cum_fp, benign_count):

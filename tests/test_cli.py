@@ -613,6 +613,31 @@ def test_a_failed_synth_write_keeps_the_earlier_dataset(tmp_path, monkeypatch, c
     assert sorted(before) == ["s.csv", "s.csv.manifest"]
 
 
+def test_a_synth_out_directory_keeps_the_earlier_manifest(tmp_path, capsys):
+    (tmp_path / "target").mkdir()
+    (tmp_path / "target.manifest").write_text("label_column=earlier\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert main(["synth", "--out", str(tmp_path / "target"), "--length", "100", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target", "target.manifest"]
+
+
+def test_a_synth_manifest_directory_keeps_the_earlier_dataset(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--out", str(out), "--length", "100", "--seed", "1"]) == 0
+    before = out.read_bytes()
+    (tmp_path / "m").mkdir()
+    args = ["synth", "--out", str(out), "--manifest", str(tmp_path / "m"), "--length", "100"]
+    capsys.readouterr()
+    assert main(args + ["--seed", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --manifest ") and err.count("\n") == 1
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m", "s.csv", "s.csv.manifest"]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_outputs_take_their_mode_from_the_umask(tmp_path, umask):
     csv_path, manifest_path = tmp_path / "s.csv", tmp_path / "s.csv.manifest"
@@ -739,6 +764,21 @@ def _positives_first_dataset(root):
         "label_column=label\ntimestamp_column=timestamp\nnumeric=f0\n"
     )
     return root / "pos.csv", root / "pos.manifest"
+
+
+def test_training_statistics_that_overflow_are_a_data_error(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    cells = ("1e308", "-1e308", "1.5e308", "1.7e308")
+    rows = [f"{i * 1_000},{int(i % 100 == 0)},{cells[i % 4]}\n" for i in range(3_000)]
+    (root / "big.csv").write_text("timestamp,label,f0\n" + "".join(rows))
+    manifest = "label_column=label\ntimestamp_column=timestamp\nnumeric=f0\n"
+    (root / "big.manifest").write_text(manifest)
+    assert main(_run_args((root / "big.csv", root / "big.manifest"), tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: column 'f0': ") and err.count("\n") == 1
+    assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--objective.pos_weight", "2"]])

@@ -460,16 +460,20 @@ def test_core_probabilities_equal_scoring_each_batch(batch_size):
     X_train, y_train, X_stream, _ = _grid_splits(7)
     X_stream = X_stream[:4_321]  # a tail that no batch size but 1 divides
     core = build_core(X_train, y_train, X_stream, _grid_settings(7, "frozen"))
-    assert not core.proba.flags.writeable
+    assert not core.margin.flags.writeable
     ensemble, n = core.ensemble, X_stream.shape[0]
+    whole = ensemble.predict_proba(X_stream, core.margin, ensemble.n_trees)  # a run's first scores
     for start in range(0, n, batch_size):
         end = min(start + batch_size, n)
         scored = ensemble.predict_proba(X_stream[start:end], core.margin[start:end], ensemble.n_trees)
-        assert core.proba[start:end].tobytes() == scored.tobytes()
+        assert whole[start:end].tobytes() == scored.tobytes()
 
 
 def test_a_batch_no_appended_tree_scores_reads_the_core(monkeypatch):
     core = _unused_core(1_000)
+    X_train, _, X_stream, _ = _grid_splits(1_000)
+    whole = core.ensemble.predict_proba(X_stream, core.margin, core.ensemble.n_trees)
+    first_calls = [round(0.2 * X_train.shape[0]), X_stream.shape[0]]  # the tail, the stream
     scored, seen = [], []  # rows per predict_proba call; each batch's scores as ADWIN sees them
     predict_proba, update = gbt.BoostedEnsemble.predict_proba, AdwinDetector.update
 
@@ -484,16 +488,25 @@ def test_a_batch_no_appended_tree_scores_reads_the_core(monkeypatch):
     monkeypatch.setattr(gbt.BoostedEnsemble, "predict_proba", counting)
     monkeypatch.setattr(AdwinDetector, "update", recording)
     frozen = run_stream(*_grid_splits(1_000), _grid_settings(1_000, "frozen"), core)
-    assert scored == [] and frozen.endpoints.trees == GRID_TRAIN.initial_rounds
+    assert scored == first_calls and frozen.endpoints.trees == GRID_TRAIN.initial_rounds
+    scored.clear()
     adaptive = run_stream(*_grid_splits(1_000), _grid_settings(1_000, "adwin-hybrid"), core)
     first = adaptive.ledger.update_events[0]  # the batches after it score the appended trees
-    assert scored == [1_000] * ((GRID_STREAMS[1_000][0] - first) // 1_000)
+    assert scored == first_calls + [1_000] * ((GRID_STREAMS[1_000][0] - first) // 1_000)
     for start, values in zip(range(0, first, 1_000), seen):
-        assert values.tobytes() == core.proba[start : start + 1_000].tobytes()
+        assert values.tobytes() == whole[start : start + 1_000].tobytes()
+
+
+def test_a_core_serves_every_tail_fraction():
+    # theta comes from the run's own tail, so a core holds nothing of it
+    settings = replace(_grid_settings(1_000, "adwin-hybrid"), tail_fraction=0.3)
+    shared = run_stream(*_grid_splits(1_000), settings, _cold_run(1_000, "frozen").core)
+    _assert_same_run(shared, run_stream(*_grid_splits(1_000), settings))
+    assert shared.endpoints.theta != _cold_run(1_000, "adwin-hybrid").endpoints.theta
 
 
 # what a core depends on, by the name the refusal gives
-CORE_INPUTS = ["seed", "objective", "tail_n", "stream_events"] + [
+CORE_INPUTS = ["seed", "objective", "stream_events"] + [
     f"train.{f.name}" for f in fields(gbt.TrainConfig)
 ]
 
@@ -507,8 +520,6 @@ def test_core_built_for_other_inputs_is_refused(change):
         settings = replace(settings, seed=43)
     elif change == "objective":
         settings = replace(settings, objective=replace(settings.objective, gamma=1.0))
-    elif change == "tail_n":
-        settings = replace(settings, tail_fraction=0.3)
     elif change == "stream_events":
         X_stream, y_stream = X_stream[:-1], y_stream[:-1]
     else:

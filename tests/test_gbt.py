@@ -173,9 +173,10 @@ def test_warm_start_preserves_tree_prefix():
     rng = np.random.default_rng(5)
     ens = train_initial(X, y, Objective(), TrainConfig(initial_rounds=15), rng)
     before = [Tree(*(getattr(t, name).copy() for name in TREE_ARRAYS)) for t in ens.trees]
-    result = warm_start_update(ens, X, y, Objective(), TrainConfig(rounds_per_update=10), rng)
+    cfg = TrainConfig(rounds_per_update=10)
+    result = warm_start_update(ens, X, y, Objective(), cfg, rng)
     after = result.ensemble
-    assert after.n_trees == 25 and result.appended == 10 and not result.cap_reached
+    assert after.n_trees == 25 and result.appended == 10 and after.n_trees < cfg.max_trees
     for i, tree in enumerate(before):
         assert _same_tree(after.trees[i], tree)
     # original value untouched (caller hot-swaps)
@@ -232,16 +233,16 @@ def test_warm_start_cap_arithmetic():
     rng = np.random.default_rng(7)
     ens = train_initial(X, y, Objective(), cfg, rng)
     grown = warm_start_update(ens, X, y, Objective(), cfg, rng)
-    assert grown.ensemble.n_trees == 15 and grown.appended == 10 and grown.cap_reached
+    assert grown.ensemble.n_trees == 15 == cfg.max_trees and grown.appended == 10
 
     cfg_cap = TrainConfig(initial_rounds=12, rounds_per_update=10, max_trees=15)
     rng = np.random.default_rng(7)
     ens = train_initial(X, y, Objective(), cfg_cap, rng)
     partial = warm_start_update(ens, X, y, Objective(), cfg_cap, rng)
-    assert partial.ensemble.n_trees == 15 and partial.appended == 3 and partial.cap_reached
+    assert partial.ensemble.n_trees == 15 == cfg_cap.max_trees and partial.appended == 3
     noop = warm_start_update(partial.ensemble, X, y, Objective(), cfg_cap, rng)
-    assert noop.appended == 0 and noop.cap_reached
-    assert noop.ensemble.n_trees == 15
+    assert noop.appended == 0
+    assert noop.ensemble.n_trees == 15 == cfg_cap.max_trees
 
 
 def test_warm_start_takes_its_learning_rate_and_cap_from_its_config():
@@ -258,8 +259,9 @@ def test_warm_start_takes_its_learning_rate_and_cap_from_its_config():
     assert all(np.array_equal(getattr(a, name), getattr(b, name)) for name in TREE_ARRAYS[:3])
     assert np.array_equal(a.value, 0.05 * b.value) and np.any(a.value != b.value)
 
-    noop = update(max_trees=core.n_trees)
-    assert noop.ensemble is core and noop.appended == 0 and noop.cap_reached
+    cap = core.n_trees
+    noop = update(max_trees=cap)
+    assert noop.ensemble is core and noop.appended == 0 and noop.ensemble.n_trees >= cap
 
 
 def test_warm_start_on_all_negative_batch_pushes_scores_down():

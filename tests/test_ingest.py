@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,28 @@ def test_constant_column_std_clamped_to_one():
     assert pre.scale["v"][2] == 1.0
     X = pre.transform(_events(["5", "7"]))
     assert X[0, 0] == 0.0 and X[1, 0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["1e308", "1.5e308", "1.7e308"],  # the mean and the std overflow
+        ["0", "1.5e308", "1.7e308", "1.7e308"],  # and the median
+        ["1e308", "-1e308", "1.5e308"],  # only the std: the column would scale to zeros
+    ],
+)
+def test_training_statistics_that_overflow_are_a_data_error(values):
+    with pytest.raises(DataError, match="column 'v': .* overflows float64"):
+        Preprocessor([], ["v"]).fit(_events(values))
+
+
+def test_a_stream_value_too_far_out_to_standardize_is_infinite():
+    pre = Preprocessor([], ["v"]).fit(_events(["0", "0.2"]))
+    assert pre.scale["v"][2] == pytest.approx(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = pre.transform(_events(["-1.7e308", "1.7e308", "0.3"]))
+    assert X[0, 0] == -np.inf and X[1, 0] == np.inf and X[2, 0] == pytest.approx(2.0)
 
 
 def test_categorical_vocab_order_mode_and_unseen_slot():
