@@ -19,7 +19,7 @@ from pathlib import Path
 from .controller import QUERYING_KINDS, STRATEGIES, RunSettings
 from .gbt import TrainConfig
 from .objectives import Objective
-from .schema import check_fields, interval, parse_value, read_pairs, write_pairs
+from .schema import Checked, interval, parse_value, read_pairs, write_pairs
 
 
 class ConfigError(Exception):
@@ -27,7 +27,7 @@ class ConfigError(Exception):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Checked):
     """One experiment: dataset, strategy matrix, seeds, output, and run settings."""
 
     dataset_csv: str | None = None
@@ -38,9 +38,6 @@ class RunConfig:
     out_dir: str | None = None
     trigger_schedule_path: str | None = None
     settings: RunSettings = field(default_factory=RunSettings)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 # public key -> dotted field path from RunConfig, in config.txt order
@@ -79,8 +76,7 @@ CONFIG_KEYS = {
 def _replace_path(obj, path, text):
     """Copy of ``obj`` with the field at ``path`` parsed from ``text``.
 
-    Each dataclass along the path is rebuilt, so its ``__post_init__``
-    checks the new value.
+    Each dataclass along the path is rebuilt, so ``Checked`` checks the new value.
     """
     name, _, rest = path.partition(".")
     if rest:

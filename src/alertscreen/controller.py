@@ -35,7 +35,7 @@ from .metrics import (
     realized_query_rate,
 )
 from .objectives import Objective, resolve_pos_weight
-from .schema import check_fields, interval, one_of
+from .schema import Checked, interval, one_of
 from .threshold import THRESHOLD_POLICIES, select_threshold
 
 logger = logging.getLogger(__name__)
@@ -53,7 +53,7 @@ STRATEGIES = {
 QUERYING_KINDS = tuple(kind for kind, (trigger, _, _) in STRATEGIES.items() if trigger)
 
 @dataclass
-class RunSettings:
+class RunSettings(Checked):
     """Everything one streaming run needs besides the data itself."""
 
     kind: str = one_of(STRATEGIES, "adwin-hybrid")
@@ -80,9 +80,6 @@ class RunSettings:
     burst_gap: int = interval("[0, inf)", 10_000)
     burst_delay_mode: str = one_of(DELAY_MODES, "positives")
     seed: int = interval("[0, inf)", 42)
-
-    def __post_init__(self):
-        check_fields(self)
 
     @property
     def query_budget(self):

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .objectives import HESS_FLOOR, PROB_EPS, grad_hess, resolve_pos_weight
-from .schema import check_fields, interval
+from .schema import Checked, interval
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Checked):
     initial_rounds: int = interval("[1, inf)", 100)
     rounds_per_update: int = interval("[1, inf)", 10)
     learning_rate: float = interval("(0, inf)", 0.10)
@@ -34,9 +34,6 @@ class TrainConfig:
     subsample: float = interval("(0, 1]", 0.90)
     colsample: float = interval("(0, 1]", 0.90)
     l2_reg: float = interval("[0, inf)", 1.00)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 # Elements in each temporary of one scoring tile: 1 MB of uint64 masks.

@@ -22,7 +22,7 @@ class RollingWindow:
     """Outcome codes ``2·label + prediction`` of the trailing ``capacity`` events.
 
     Code 0 is a true negative, 1 a false positive, 2 a false negative and
-    3 a true positive.
+    3 a true positive; every count tuple is in this code order, (tn, fp, fn, tp).
     """
 
     def __init__(self, capacity):
@@ -47,13 +47,12 @@ class RollingWindow:
         return tuple(batch)
 
     def counts(self):
-        """(tp, fp, tn, fn) over the window."""
-        tn, fp, fn, tp = self._counts
-        return tp, fp, tn, fn
+        """(tn, fp, fn, tp) over the window."""
+        return self._counts
 
     def metrics(self):
         """{f1, precision, recall, fpr} with None for undefined entries."""
-        tp, fp, tn, fn = self.counts()
+        tn, fp, fn, tp = self._counts
         out = {"f1": None, "precision": None, "recall": None, "fpr": None}
         if tp + fn > 0:
             out["recall"] = tp / (tp + fn)
@@ -147,7 +146,10 @@ def bayes_projection(recall, fpr, prior, daily_events):
         raise ValueError("prior must lie in (0, 1)")
     if daily_events <= 0:
         raise ValueError("daily_events must be positive")
-    n_pos = int(round(prior * daily_events))
+    try:
+        n_pos = int(round(prior * daily_events))
+    except OverflowError as exc:
+        raise ValueError(f"daily_events is out of float range: {exc}") from exc
     n_neg = int(daily_events) - n_pos
     tp = math.floor(recall * n_pos)
     fp = math.floor(fpr * n_neg)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schema import check_fields, interval, one_of
+from .schema import Checked, interval, one_of
 
 OBJECTIVE_KINDS = ("plain-logistic", "class-weighted", "focal")
 
@@ -19,7 +19,7 @@ HESS_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
-class Objective:
+class Objective(Checked):
     """Loss configuration.
 
     alpha/gamma apply to the focal kind; pos_weight applies to the
@@ -31,9 +31,6 @@ class Objective:
     alpha: float = interval("(0, 1)", 0.25)
     gamma: float = interval("[0, inf)", 2.0)
     pos_weight: float | None = interval("(0, inf)", None)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def resolve_pos_weight(objective, labels):

@@ -1,7 +1,7 @@
 """Field-level schema for the run's dataclasses: value domains and one text codec.
 
 Every configurable value lives on a dataclass field that declares its own
-domain (``interval`` or ``one_of``), which ``check_fields`` checks. The
+domain (``interval`` or ``one_of``), which the base ``Checked`` checks. The
 field's type annotation says how it is written and read: ``None`` as an
 empty string, booleans as ``true``/``false``, floats by ``repr`` (exact
 round trip), lists as comma separated items. ``config.txt``, the dataset
@@ -32,14 +32,18 @@ def one_of(choices, default=MISSING):
     return field(default=default, metadata={"domain": domain})
 
 
-def check_fields(obj):
-    """Raise ValueError for the first field outside its declared domain; None always passes."""
-    for f in fields(obj):
-        if "domain" in f.metadata:
-            inside, text = f.metadata["domain"]
-            value = getattr(obj, f.name)
-            if value is not None and not inside(value):
-                raise ValueError(f"{f.name} must be {text}, got {value!r}")
+class Checked:
+    """Dataclass base: building a record, ``replace`` included, raises ValueError for its first
+    field outside the field's declared domain; None always passes. A subclass that needs its
+    own ``__post_init__`` must call ``super().__post_init__()``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "domain" in f.metadata:
+                inside, text = f.metadata["domain"]
+                value = getattr(self, f.name)
+                if value is not None and not inside(value):
+                    raise ValueError(f"{f.name} must be {text}, got {value!r}")
 
 
 def format_value(value):

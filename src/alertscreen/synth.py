@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import DatasetManifest, save_manifest
-from .schema import check_fields, interval, one_of
+from .schema import Checked, interval, one_of
 
 TOPOLOGIES = ("recurrent-spikes", "single-burst")
 
@@ -25,19 +25,16 @@ TIMESTAMP_STEP = 1_000  # between consecutive events
 
 
 @dataclass
-class DriftPoint:
+class DriftPoint(Checked):
     """From this event on, classes draw from the new scalar means."""
 
     index: int = interval("[0, inf)")
     benign_mean: float = interval("(-inf, inf)")
     malicious_mean: float | None = interval("(-inf, inf)", None)  # None keeps the previous value
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass
-class SyntheticStreamSpec:
+class SyntheticStreamSpec(Checked):
     length: int = interval("[1, inf)", 100_000)
     prevalence: float = interval("(0, 0.05]", 0.01)  # the low-prevalence regime
     n_features: int = interval("[0, inf)", 4)
@@ -49,13 +46,13 @@ class SyntheticStreamSpec:
     burst_start: float = interval("[0, 1]", 0.10)
     burst_density: float = interval("(0, 1]", 0.50)
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 def _place_positives(spec, rng):
-    n_pos = int(rng.binomial(spec.length, spec.prevalence))
-    labels = np.zeros(spec.length, dtype=np.int64)
+    try:  # numpy refuses a length past what it can index, as past memory
+        n_pos = int(rng.binomial(spec.length, spec.prevalence))
+        labels = np.zeros(spec.length, dtype=np.int64)
+    except (OverflowError, ValueError) as exc:
+        raise MemoryError(str(exc)) from exc
     if n_pos == 0:
         return labels
     if spec.topology == "single-burst":
@@ -112,7 +109,11 @@ def generate_stream(spec):
     rng = np.random.default_rng(spec.seed)
     labels = _place_positives(spec, rng)
     means = _means_per_event(spec, labels)
-    X = rng.normal(0.0, 1.0, size=(spec.length, spec.n_features)) + means[:, None]
+    try:  # numpy refuses a feature matrix past what it can index, as past memory
+        X = rng.normal(0.0, 1.0, size=(spec.length, spec.n_features))
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
+    X += means[:, None]
     categories = _category_column(spec, labels, rng) if spec.n_categories > 0 else None
     timestamps = TIMESTAMP_START + np.arange(spec.length, dtype=np.int64) * TIMESTAMP_STEP
     return timestamps, labels, X, categories

@@ -25,7 +25,10 @@ def select_threshold(scores, labels, policy, grid_points, min_recall):
     n_pos = int(pos.sum())
     if n_pos == 0:
         raise ValueError("threshold undefined: validation tail contains no positives")
-    grid = np.arange(grid_points) / (grid_points - 1)
+    try:
+        grid = np.arange(grid_points) / (grid_points - 1)
+    except ValueError as exc:  # numpy refuses a grid past what it can index, as past memory
+        raise MemoryError(str(exc)) from exc
     # alerts per class at each grid theta: the sorted scores at or above it
     pos_scores, neg_scores = np.sort(scores[pos]), np.sort(scores[~pos])
     tp = n_pos - np.searchsorted(pos_scores, grid)

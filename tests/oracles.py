@@ -449,7 +449,7 @@ def pure_prediction_trace(X_train, y_train, X_stream, y_stream, settings):
 
 
 def recount_window(labels, preds, capacity):
-    """Confusion counts (tp, fp, tn, fn) of the trailing ``capacity`` events, from scratch."""
+    """Confusion counts (tn, fp, fn, tp) of the trailing ``capacity`` events, from scratch."""
     tail_labels = labels[-capacity:]
     tail_preds = preds[-capacity:]
     tp = fp = tn = fn = 0
@@ -462,10 +462,10 @@ def recount_window(labels, preds, capacity):
             fp += 1
         else:
             tn += 1
-    return tp, fp, tn, fn
+    return tn, fp, fn, tp
 
 
-def window_metrics(tp, fp, tn, fn):
+def window_metrics(tn, fp, fn, tp):
     """(f1, precision, recall, fpr) from confusion counts, None where undefined."""
     support, flagged, benign = tp + fn, tp + fp, fp + tn
     recall = tp / support if support else None

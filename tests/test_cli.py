@@ -292,15 +292,28 @@ def test_float_overflow_is_a_config_error(dataset, tmp_path, capsys, strategy, e
     assert not out.exists()
 
 
-def test_settings_that_need_more_memory_than_exists_are_a_config_error(dataset, tmp_path, capsys):
-    # a grid of 10**15 thresholds exceeds the user address space, so numpy refuses it
-    # before allocating
+# a grid of 10**15 thresholds exceeds the user address space, and one of 2**62 or 10**21
+# exceeds what numpy can index, so numpy refuses each before allocating
+@pytest.mark.parametrize("grid_points", [10**15, 2**62, 10**21])
+def test_settings_that_need_more_memory_than_exists_are_a_config_error(
+    dataset, tmp_path, capsys, grid_points
+):
     out = tmp_path / "out"
-    assert main(_run_args(dataset, out, extra=["--threshold.grid_points", str(10**15)])) == 1
+    assert main(_run_args(dataset, out, extra=["--threshold.grid_points", str(grid_points)])) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: settings need more memory than there is: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_value_error_from_a_defect_is_not_a_config_error(dataset, tmp_path, monkeypatch):
+    def defect(*args):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(cli, "run_stream", defect)
+    with pytest.raises(ValueError, match="defect"):
+        main(_run_args(dataset, tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("strategy,seed", [("frozen", "42,42"), ("frozen,frozen", "42"), ("", "42")])
@@ -576,6 +589,14 @@ def test_unusable_run_paths_and_files_end_with_a_message(
         ["synth", "--out", "{tmp}/s.csv", "--length", str(10**15)],
         # one path for both files would leave only the manifest
         ["synth", "--out", "{tmp}/s.csv", "--manifest", "{tmp}/s.csv", "--length", "100"],
+        # sizes past what numpy can index, which it refuses for their size
+        ["synth", "--out", "{tmp}/s.csv", "--length", str(2**62)],
+        ["synth", "--out", "{tmp}/s.csv", "--length", str(10**21)],
+        ["synth", "--out", "{tmp}/s.csv", "--length", "100", "--n-features", str(2**62)],
+        ["synth", "--out", "{tmp}/s.csv", "--length", "100", "--n-features", str(10**21)],
+        # more daily events than a float holds
+        ["project", "--recall", "0.5", "--fpr", "0.01", "--prior", "0.01"]
+        + ["--daily-events", str(10**400)],
     ],
 )
 def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
@@ -583,7 +604,7 @@ def test_bad_synth_or_project_input_is_a_config_error(tmp_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
-    assert not (tmp_path / "s.csv").exists()
+    assert not any(tmp_path.iterdir())  # no output file and no dot-named staging entry
 
 
 def test_a_failed_synth_write_keeps_the_earlier_dataset(tmp_path, monkeypatch, capsys):

@@ -61,8 +61,8 @@ def test_window_counters_match_brute_force_recount():
         window.push_batch(lb, pb)
         assert window.counts() == recount_window(labels, preds, capacity)
         if len(labels) >= capacity:
-            tp, fp, tn, fn = window.counts()
-            assert tp + fp + tn + fn == capacity
+            tn, fp, fn, tp = window.counts()
+            assert tn + fp + fn + tp == capacity
 
 
 def _outcomes(seed, n):
@@ -72,8 +72,7 @@ def _outcomes(seed, n):
 
 def _batch_counts(labels, preds):
     """(tn, fp, fn, tp) of one batch, as push_batch returns them."""
-    tp, fp, tn, fn = recount_window(list(labels), list(preds), max(len(labels), 1))
-    return tn, fp, fn, tp
+    return recount_window(list(labels), list(preds), max(len(labels), 1))
 
 
 # capacities below, equal to and above the batch sizes; 50 events, which
@@ -126,7 +125,7 @@ def test_a_window_of_huge_capacity_holds_only_what_was_pushed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert window.counts() == (1, 1, 1_000, 1)
+    assert window.counts() == (1_000, 1, 1, 1)
     assert peak < 1 << 20
 
 
